@@ -336,7 +336,7 @@ def _invariants(inv):
 def _verdict_dict(v):
     return {"level": v.level,
             "certificate": [s.kind for s in v.certificate],
-            "note": getattr(v, "note", None)}
+            "note": v.notes}
 
 
 class Reporter:
@@ -418,11 +418,11 @@ def cmd_flasque(args, rep):
         "left_rank": cert.left.rank, "mid_rank": cert.mid.rank,
         "flasque_rank": cert.right.rank,
         "mid_parts": [h.order for h in (cert.mid_parts or ())],
-        "flasque_checks": [[o, _invariants(i)] for o, i in fl.checks]}
+        "flasque_checks": [[o, _invariants(i)] for o, i in fl.flasque_check]}
     rep.line("0 -> M(%d) -> P(%d) -> F(%d) -> 0"
              % (cert.left.rank, cert.mid.rank, cert.right.rank))
     rep.line("flasque condition verified on %d subgroup classes"
-             % len(fl.checks))
+             % len(fl.flasque_check))
     return 0
 
 

@@ -439,21 +439,7 @@ def all_subgroups(g: FiniteMatrixGroup) -> SubgroupClassification:
 
 
 def _is_prime_power(k):
-    if k < 2:
-        return False
-    p = _least_prime_factor(k)
-    while k % p == 0:
-        k //= p
-    return k == 1
-
-
-def _least_prime_factor(k):
-    i = 2
-    while i * i <= k:
-        if k % i == 0:
-            return i
-        i += 1
-    return k
+    return len(_prime_factors(k)) == 1
 
 
 def sylow(g: FiniteMatrixGroup, p: int) -> Subgroup:
@@ -554,6 +540,7 @@ def _subgroup_is_cyclic(g, h: Subgroup):
 
 
 def _prime_factors(n):
+    """Distinct prime factors of n, ascending (trial division)."""
     out = []
     k = 2
     while k * k <= n:

@@ -28,7 +28,13 @@ from .intlinalg import (
     solve_left,
     unimodular_in_lattice,
 )
-from .groups import FiniteMatrixGroup, ProvablyDistinct, Subgroup, all_subgroups
+from .groups import (
+    FiniteMatrixGroup,
+    ProvablyDistinct,
+    Subgroup,
+    _prime_factors,
+    all_subgroups,
+)
 from .lattices import (
     EquivariantMap,
     GLattice,
@@ -564,22 +570,11 @@ def _glue(r: IntMat, q: IntMat) -> IntMat:
 
 def _prime_powers(n):
     out = []
-    d = 2
-    m = n
-    while d * d <= m:
-        if m % d == 0:
-            e = d
-            while e <= n:
-                out.append(e)
-                e *= d
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        e = m
+    for d in _prime_factors(n):
+        e = d
         while e <= n:
             out.append(e)
-            e *= m
+            e *= d
     return sorted(out)
 
 

@@ -20,7 +20,13 @@ from math import gcd
 
 
 class BudgetExhausted(Exception):
-    """A bounded search ran out of budget: the answer is 'unknown', never 'no'."""
+    """A bounded search ran out of budget: the answer is 'unknown', never 'no'.
+
+    `data` says where the search ran out and how much it had spent."""
+
+    def __init__(self, message="", **data):
+        super().__init__(message)
+        self.data = data
 
 
 class IntMat:

@@ -7,6 +7,16 @@ p-groups, and the invertibility (permutation-summand) criterion:
     module for every prime p dividing |G|, and additionally
     dim_Q (QC)^{Syl_2} = dim_{F_2} (F_2 C)^{Syl_2}.
 
+is_invertible() decides this in one pass over the primes and returns the
+isomorphisms it found as a re-verifiable witness.  Maps into a
+permutation module come from Frobenius reciprocity (Brown, Cohomology of
+Groups, GTM 87, III.5): Hom_P(M, F_p[P/Q]) = (M*)^Q.  Such a map F is
+determined by its column f at the base coset Q, which may be any column
+vector with act(q) f = f for q in Q; its column at the coset Qg is
+act(g^-1) f.  So a Hom basis needs one r-dimensional fixed-space
+computation per summand, not a linear system in all r * |P/Q| entries
+of F.
+
 All verdicts involving search are three-valued: an explicit witness, a
 proof of impossibility from invariants (ProvablyNot), or BudgetExhausted.
 """
@@ -18,8 +28,22 @@ import random
 from dataclasses import dataclass
 
 from .intlinalg import BudgetExhausted, IntMat
-from .groups import FiniteMatrixGroup, Subgroup, all_subgroups, double_cosets, sylow
-from .lattices import GLattice, coset_gset, fixed_sublattice, restrict, tate
+from .groups import (
+    FiniteMatrixGroup,
+    Subgroup,
+    _prime_factors,
+    all_subgroups,
+    double_cosets,
+    sylow,
+)
+from .lattices import (
+    GLattice,
+    coset_gset,
+    coset_transversal,
+    fixed_sublattice,
+    restrict,
+    tate,
+)
 
 
 class ProvablyNot(Exception):
@@ -71,15 +95,22 @@ def left_nullspace_modp(rows, p):
 
 
 def _mat_mul_modp(a, b, p):
-    n, k = len(a), len(b[0])
-    m = len(b)
     bt = list(zip(*b))
-    return [[sum(a[i][t] * bt[j][t] for t in range(m)) % p for j in range(k)]
-            for i in range(n)]
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in bt]
+            for row in a]
 
 
 def _is_invertible_modp(rows, p):
     return len(rows) == len(rows[0]) and rank_modp(rows, p) == len(rows)
+
+
+def _fixed_basis(mats, dim, p):
+    """Basis of the row vectors v with v * a = v for every a in mats."""
+    if not mats:
+        return [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+    stacked = [[(a[i][j] - (1 if i == j else 0)) % p
+                for a in mats for j in range(dim)] for i in range(dim)]
+    return left_nullspace_modp(stacked, p)
 
 
 # ---------------------------------------------------------------------------
@@ -115,18 +146,9 @@ class ModpModule:
         """dim of the simultaneous fixed space of the given element indices."""
         if self.dim == 0:
             return 0
-        gens = self.group.generating_set(frozenset(members)) or []
-        if not gens:
-            return self.dim
-        cols = []
-        for s in gens:
-            a = self.act(s)
-            block = [[(a[i][j] - (1 if i == j else 0)) % self.p
-                      for j in range(self.dim)] for i in range(self.dim)]
-            cols.append(block)
-        stacked = [sum((block[i] for block in cols), [])
-                   for i in range(self.dim)]
-        return len(left_nullspace_modp(stacked, self.p))
+        gens = self.group.generating_set(frozenset(members))
+        return len(_fixed_basis([self.action[s] for s in gens], self.dim,
+                                self.p))
 
     def norm_matrix(self, members):
         total = [[0] * self.dim for _ in range(self.dim)]
@@ -155,20 +177,6 @@ def _perm_modp(group, gset, p) -> ModpModule:
 # cohomological triviality / projectivity
 # ---------------------------------------------------------------------------
 
-def _primes_of(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_cohomologically_trivial(m) -> bool:
     """Vanishing of two consecutive Tate degrees at every Sylow subgroup.
 
@@ -177,7 +185,7 @@ def is_cohomologically_trivial(m) -> bool:
     """
     if isinstance(m, GLattice):
         g = m.group
-        for q in _primes_of(g.order):
+        for q in _prime_factors(g.order):
             syl = sylow(g, q)
             if not (tate(m, syl, 0).is_trivial()
                     and tate(m, syl, -1).is_trivial()):
@@ -251,27 +259,31 @@ def _candidate_multisets(indices, dim, limit):
     return out
 
 
-def _hom_basis_modp(m: ModpModule, c: ModpModule):
-    """Basis of Hom_{F_p[G]}(m, c) = {F : act_m(g) F = F act_c(g)}."""
-    p = m.p
-    rm, rn = m.dim, c.dim
-    cols = []
-    for s in m.group.generator_indices:
-        a = m.act(s)
-        b = c.act(s)
-        for i in range(rm):
-            for k in range(rn):
-                col = [0] * (rm * rn)
-                for j in range(rm):
-                    col[j * rn + k] = (col[j * rn + k] + a[i][j]) % p
-                for j in range(rn):
-                    col[i * rn + j] = (col[i * rn + j] - b[j][k]) % p
-                cols.append(col)
-    if not cols:
-        return [[1 if e == t else 0 for e in range(rm * rn)]
-                for t in range(rm * rn)]
-    rows = [[c_[e] for c_ in cols] for e in range(rm * rn)]
-    return left_nullspace_modp(rows, p)
+def _hom_basis_modp(m: ModpModule, subs):
+    """Basis of Hom_{F_p[G]}(m, sum of F_p[G/Q] over Q in subs), each map
+    flattened row-major, by Frobenius reciprocity (module docstring).
+
+    Coset k of coset_transversal is point k of coset_gset, and coset 0
+    is Q itself because the identity is element 0.
+    """
+    group, p, r = m.group, m.p, m.dim
+    transversals = [coset_transversal(group, q)[0] for q in subs]
+    n = sum(len(reps) for reps in transversals)
+    basis = []
+    off = 0
+    for q, reps in zip(subs, transversals):
+        gens = group.generating_set(q.members)
+        cols = _fixed_basis([tuple(zip(*m.action[s])) for s in gens], r, p)
+        for f in cols:
+            flat = [0] * (r * n)
+            for k, g in enumerate(reps):
+                a = m.action[group.inv[g]]
+                for i in range(r):
+                    flat[i * n + off + k] = sum(
+                        x * y for x, y in zip(a[i], f)) % p
+            basis.append(flat)
+        off += len(reps)
+    return basis
 
 
 def is_permutation_modp(m: ModpModule, budget=20000):
@@ -281,7 +293,7 @@ def is_permutation_modp(m: ModpModule, budget=20000):
     """
     p = m.p
     group = m.group
-    assert all(q == p for q in _primes_of(group.order)), "group must be a p-group"
+    assert all(q == p for q in _prime_factors(group.order)), "group must be a p-group"
     if m.dim == 0:
         return ([], [])
     cls = all_subgroups(group)
@@ -309,8 +321,7 @@ def is_permutation_modp(m: ModpModule, budget=20000):
     spent = 0
     for ms in survivors:
         subs = [reps[pos] for pos in ms]
-        cand = _direct_sum_perm_modp(group, subs, p)
-        basis = _hom_basis_modp(m, cand)
+        basis = _hom_basis_modp(m, subs)
         if not basis:
             continue
         k = len(basis)
@@ -320,7 +331,7 @@ def is_permutation_modp(m: ModpModule, budget=20000):
                 if not any(coeffs):
                     continue
                 spent += 1
-                f = _combine(basis, coeffs, m.dim, cand.dim, p)
+                f = _combine(basis, coeffs, m.dim, p)
                 if _is_invertible_modp(f, p):
                     found = f
                     break
@@ -330,24 +341,34 @@ def is_permutation_modp(m: ModpModule, budget=20000):
                 if not any(coeffs):
                     continue
                 spent += 1
-                f = _combine(basis, coeffs, m.dim, cand.dim, p)
+                f = _combine(basis, coeffs, m.dim, p)
                 if _is_invertible_modp(f, p):
                     found = f
                     break
         if found is not None:
+            assert _intertwines(m, _direct_sum_perm_modp(group, subs, p), found)
             return (subs, found)
         if spent > budget:
             break
     raise BudgetExhausted(
-        "candidates survive the invariant checks but no isomorphism found")
+        "candidates survive the invariant checks but no isomorphism found",
+        candidates=spent)
 
 
-def _combine(basis, coeffs, rm, rn, p):
-    flat = [0] * (rm * rn)
+def _combine(basis, coeffs, r, p):
+    """The r x r matrix sum(c * b) of flattened basis maps b."""
+    flat = [0] * (r * r)
     for c, b in zip(coeffs, basis):
         if c:
             flat = [(x + c * y) % p for x, y in zip(flat, b)]
-    return [flat[i * rn:(i + 1) * rn] for i in range(rm)]
+    return [flat[i * r:(i + 1) * r] for i in range(r)]
+
+
+def _intertwines(m: ModpModule, c: ModpModule, f) -> bool:
+    """act_m(s) f = f act_c(s) for every generator s."""
+    p = m.p
+    return all(_mat_mul_modp(m.act(s), f, p) == _mat_mul_modp(f, c.act(s), p)
+               for s in m.group.generator_indices)
 
 
 def _direct_sum_perm_modp(group, subs, p) -> ModpModule:
@@ -375,16 +396,86 @@ def _direct_sum_perm_modp(group, subs, p) -> ModpModule:
 # invertibility criterion
 # ---------------------------------------------------------------------------
 
-def is_invertible(m: GLattice, budget=20000) -> bool:
+@dataclass(frozen=True)
+class SylowPermutationWitness:
+    """F_p(M) restricted to a Sylow p-subgroup P is the permutation module
+    of the subgroups Q of P; `iso` holds the rows of an isomorphism
+    F_p(M|P) -> sum of F_p[P/Q].  The Q are subgroups of one standalone
+    copy of P (sylow.as_group())."""
+    prime: int
+    sylow: Subgroup
+    subgroups: tuple
+    iso: tuple
+
+
+@dataclass(frozen=True)
+class Invertibility:
+    """Outcome of the permutation-summand test on a lattice, truthy
+    exactly when the lattice is invertible.
+
+    Invertible: `witnesses` holds one SylowPermutationWitness per prime
+    dividing |G|.  Not invertible: `obstruction` is the record
+    {"prime", "sylow", "reason"} of the prime that rules it out.
+    """
+    lattice: GLattice
+    witnesses: tuple = ()
+    obstruction: dict = None
+
+    def __bool__(self):
+        return self.obstruction is None
+
+    def verify(self) -> bool:
+        """Re-check an invertible outcome from its witnesses alone: one
+        witness per prime, each an equivariant isomorphism mod p onto
+        the permutation module, and the rank equality at p = 2."""
+        if self.obstruction is not None:
+            return False
+        primes = sorted(w.prime for w in self.witnesses)
+        return (primes == _prime_factors(self.lattice.group.order)
+                and all(_verify_sylow_witness(self.lattice, w)
+                        for w in self.witnesses))
+
+
+def _verify_sylow_witness(m: GLattice, w: SylowPermutationWitness) -> bool:
+    g, p, syl = m.group, w.prime, w.sylow
+    if (syl.parent is not g or g.closure_indices(syl.members) != syl.members
+            or _prime_factors(syl.order) != [p]
+            or (g.order // syl.order) % p == 0):
+        return False
+    sgrp = w.subgroups[0].parent if w.subgroups else syl.as_group()
+    if (any(q.parent is not sgrp for q in w.subgroups)
+            or set(sgrp.elements) != set(syl.matrices())):
+        return False
+    res = restrict(m, syl, hgroup=sgrp)
+    modp = reduce_mod_p(res, p)
+    if p == 2 and (fixed_sublattice(res, sgrp.full_subgroup()).rows
+                   != modp.fixed_dim(range(sgrp.order))):
+        return False
+    cand = _direct_sum_perm_modp(sgrp, w.subgroups, p)
+    f = [list(row) for row in w.iso]
+    if (cand.dim != modp.dim or len(f) != modp.dim
+            or any(len(row) != cand.dim for row in f)):
+        return False
+    if modp.dim == 0:
+        return True
+    return _is_invertible_modp(f, p) and _intertwines(modp, cand, f)
+
+
+def is_invertible(m: GLattice, budget=20000) -> Invertibility:
     """Permutation-summand test: F_p(m) must be Syl_p-permutation for each
     prime p | |G|, with the additional rank equality at p = 2.
 
-    Returns True/False; raises BudgetExhausted when a recognition is
-    inconclusive.
+    One pass over the primes: restrict to the Sylow p-subgroup, reduce
+    mod p, recognise a permutation module.  Returns an Invertibility with
+    the witnesses, or with the obstruction at the first prime that rules
+    invertibility out.  Raises BudgetExhausted when no prime rules it out
+    but some recognition was inconclusive; its data lists each undecided
+    prime with the candidates spent there.
     """
     g = m.group
-    unknown = False
-    for p in _primes_of(g.order):
+    witnesses = []
+    undecided = []
+    for p in _prime_factors(g.order):
         syl = sylow(g, p)
         sgrp = syl.as_group()
         res = restrict(m, syl, hgroup=sgrp)
@@ -393,13 +484,23 @@ def is_invertible(m: GLattice, budget=20000) -> bool:
             qrank = fixed_sublattice(res, sgrp.full_subgroup()).rows
             frank = modp.fixed_dim(range(sgrp.order))
             if qrank != frank:
-                return False
+                return Invertibility(m, obstruction={
+                    "prime": 2, "sylow": syl,
+                    "reason": "fixed-point rank drops mod 2 "
+                              "(%d over Z, %d over F_2)" % (qrank, frank)})
         try:
-            is_permutation_modp(modp, budget=budget)
-        except ProvablyNot:
-            return False
-        except BudgetExhausted:
-            unknown = True
-    if unknown:
-        raise BudgetExhausted("mod-p permutation recognition inconclusive")
-    return True
+            subs, iso = is_permutation_modp(modp, budget=budget)
+        except ProvablyNot as e:
+            return Invertibility(m, obstruction={"prime": p, "sylow": syl,
+                                                 "reason": str(e)})
+        except BudgetExhausted as e:
+            undecided.append(dict(e.data, prime=p, sylow=syl))
+            continue
+        witnesses.append(SylowPermutationWitness(
+            p, syl, tuple(subs), tuple(tuple(row) for row in iso)))
+    if undecided:
+        raise BudgetExhausted(
+            "mod-p permutation recognition inconclusive at p = %s"
+            % ", ".join(str(u["prime"]) for u in undecided),
+            undecided=tuple(undecided))
+    return Invertibility(m, tuple(witnesses))

@@ -30,7 +30,14 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .intlinalg import BudgetExhausted, IntMat, cokernel_invariants
-from .groups import FiniteMatrixGroup, Subgroup, all_subgroups, closure, sylow
+from .groups import (
+    FiniteMatrixGroup,
+    Subgroup,
+    _prime_factors,
+    all_subgroups,
+    closure,
+    sylow,
+)
 from .lattices import (
     GLattice,
     GSet,
@@ -46,14 +53,7 @@ from .lattices import (
     tensor,
 )
 from .homology import quasi_permutation_check, sub_lattice_from_rows
-from .lattices import fixed_sublattice
-from .modular import (
-    ProvablyNot,
-    _primes_of,
-    is_invertible,
-    is_permutation_modp,
-    reduce_mod_p,
-)
+from .modular import is_invertible
 from . import lattices as _lat
 from .intlinalg import kernel_basis
 
@@ -355,48 +355,24 @@ def classify(m: GLattice, budget=20000, depth=2) -> RationalityVerdict:
         notes = "not stably rational (integral obstruction)"
     else:
         notes = "stable rationality undecided"
-    record = _noninvertibility_record(f, budget)
-    if record is not None:
-        steps.append(CertStep("flasque_not_invertible",
-                              dict(record, flasque=f)))
-        return RationalityVerdict(
-            NOT_RETRACT_RATIONAL, tuple(steps),
-            "flasque term is not invertible (p = %d Sylow)" % record["prime"])
     try:
         inv = is_invertible(f, budget=budget)
-    except BudgetExhausted:
-        steps.append(CertStep("invertibility_undecided"))
+    except BudgetExhausted as exc:
+        steps.append(CertStep("invertibility_undecided",
+                              dict(exc.data, flasque=f)))
         return RationalityVerdict(UNKNOWN, tuple(steps),
                                   notes + "; invertibility undecided")
-    assert inv
+    if not inv:
+        steps.append(CertStep("flasque_not_invertible",
+                              dict(inv.obstruction, flasque=f)))
+        return RationalityVerdict(
+            NOT_RETRACT_RATIONAL, tuple(steps),
+            "flasque term is not invertible (p = %d Sylow)"
+            % inv.obstruction["prime"])
     steps.append(CertStep("flasque_invertible", {"flasque": f,
-                                                 "resolution": fl}))
+                                                 "resolution": fl,
+                                                 "witness": inv}))
     return RationalityVerdict(RETRACT_RATIONAL, tuple(steps), notes)
-
-
-def _noninvertibility_record(f: GLattice, budget):
-    """Named prime / Sylow evidence that the flasque term is not
-    invertible (mod-p permutation recognition fails provably)."""
-    g = f.group
-    for p in _primes_of(g.order):
-        syl = sylow(g, p)
-        sgrp = syl.as_group()
-        res = restrict(f, syl, hgroup=sgrp)
-        modp = reduce_mod_p(res, p)
-        if p == 2:
-            qrank = fixed_sublattice(res, sgrp.full_subgroup()).rows
-            frank = modp.fixed_dim(range(sgrp.order))
-            if qrank != frank:
-                return {"prime": 2, "sylow": syl,
-                        "reason": "fixed-point rank drops mod 2 "
-                                  "(%d over Z, %d over F_2)" % (qrank, frank)}
-        try:
-            is_permutation_modp(modp, budget=budget)
-        except ProvablyNot as e:
-            return {"prime": p, "sylow": syl, "reason": str(e)}
-        except BudgetExhausted:
-            continue
-    return None
 
 
 def _classify_hereditary(m, budget, depth):
@@ -520,18 +496,7 @@ class NormOneSpec:
 
 
 def _sylows_all_cyclic(g: FiniteMatrixGroup):
-    n = g.order
-    p = 2
-    primes = []
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        primes.append(n)
-    for p in primes:
+    for p in _prime_factors(g.order):
         s = sylow(g, p)
         if not _is_cyclic(g, s.members):
             return False
@@ -545,18 +510,7 @@ def _is_cyclic(g, members):
 
 def _is_nilpotent(g: FiniteMatrixGroup):
     """Nilpotent iff every Sylow subgroup is normal."""
-    n = g.order
-    p, primes = 2, []
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        primes.append(m)
-    for p in primes:
+    for p in _prime_factors(g.order):
         if not sylow(g, p).is_normal():
             return False
     return True
@@ -796,7 +750,7 @@ def norm_one_classify(spec: NormOneSpec, budget=200000) -> RationalityVerdict:
         steps.append(CertStep("symmetric_natural", {"degree": n}))
         if n == 3:
             return RationalityVerdict(STABLY_RATIONAL, tuple(steps))
-        if _is_prime(n):
+        if _prime_factors(n) == [n]:
             return RationalityVerdict(RETRACT_RATIONAL, tuple(steps),
                                       "not stably rational (degree > 3)")
         return RationalityVerdict(NOT_RETRACT_RATIONAL, tuple(steps),
@@ -810,7 +764,7 @@ def norm_one_classify(spec: NormOneSpec, budget=200000) -> RationalityVerdict:
             assert res.verdict == "yes"
             steps.append(CertStep("quasi_permutation", {"result": res}))
             return RationalityVerdict(STABLY_RATIONAL, tuple(steps))
-        if _is_prime(n):
+        if _prime_factors(n) == [n]:
             return RationalityVerdict(RETRACT_RATIONAL, tuple(steps),
                                       "stable rationality excluded")
         return RationalityVerdict(NOT_RETRACT_RATIONAL, tuple(steps),
@@ -829,17 +783,6 @@ def norm_one_classify(spec: NormOneSpec, budget=200000) -> RationalityVerdict:
                                   "nilpotent Galois closure group")
     raise UnrecognizedShape(
         "no structural branch applies (order %d, degree %d)" % (g.order, n))
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _a5_flasque_resolution(g, x):

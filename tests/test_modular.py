@@ -1,4 +1,4 @@
-import random
+from dataclasses import replace
 
 import pytest
 
@@ -22,6 +22,9 @@ from glattice.lattices import (
 from glattice.modular import (
     ModpModule,
     ProvablyNot,
+    SylowPermutationWitness,
+    _direct_sum_perm_modp,
+    _hom_basis_modp,
     is_cohomologically_trivial,
     is_invertible,
     is_permutation_modp,
@@ -41,6 +44,15 @@ C2 = closure([IntMat([[-1]])])
 C3 = closure([perm_mat([1, 2, 0])])
 C4 = closure([IntMat([[0, -1], [1, 0]])])
 S3 = closure([perm_mat([1, 2, 0]), perm_mat([1, 0, 2])])
+WB2 = closure([perm_mat([1, 0]), IntMat.diag([-1, 1])])
+C3_ZETA = closure([IntMat([[0, 1], [-1, -1]])])
+
+
+def twisted_regular_c4():
+    m = coset_lattice(C4, C4.trivial_subgroup())
+    u = IntMat([[1, 1, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]])
+    ui = u.inverse_unimodular()
+    return GLattice(C4, [u * a * ui for a in m.action])
 
 
 # ---------------------------------------------------------------------------
@@ -138,36 +150,66 @@ def test_projective_iff_stabilizer_order_coprime_to_p():
 # ---------------------------------------------------------------------------
 
 def test_recognize_coset_modules():
-    wb2 = closure([perm_mat([1, 0]), IntMat.diag([-1, 1])])
-    assert wb2.order == 8
-    for q in all_subgroups(wb2).representatives():
-        m = reduce_mod_p(coset_lattice(wb2, q), 2)
+    assert WB2.order == 8
+    for q in all_subgroups(WB2).representatives():
+        m = reduce_mod_p(coset_lattice(WB2, q), 2)
         subs, f = is_permutation_modp(m)
-        assert sum(wb2.order // s.order for s in subs) == m.dim
+        assert sum(WB2.order // s.order for s in subs) == m.dim
         # the recognized multiset reproduces all fixed-point dimensions
-        for h in all_subgroups(wb2).representatives():
-            from glattice.modular import _direct_sum_perm_modp
-            cand = _direct_sum_perm_modp(wb2, subs, 2)
+        for h in all_subgroups(WB2).representatives():
+            cand = _direct_sum_perm_modp(WB2, subs, 2)
             assert cand.fixed_dim(h.members) == m.fixed_dim(h.members)
 
 
 def test_recognize_twisted_permutation_module():
-    rng = random.Random(13)
-    q8_like = C4  # small p-group
-    m = coset_lattice(q8_like, q8_like.trivial_subgroup())
-    u = IntMat([[1, 1, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]])
-    ui = u.inverse_unimodular()
-    tw = GLattice(q8_like.elements and q8_like, [u * a * ui for a in m.action])
-    subs, f = is_permutation_modp(reduce_mod_p(tw, 2))
+    subs, f = is_permutation_modp(reduce_mod_p(twisted_regular_c4(), 2))
     assert [s.order for s in subs] == [1]
 
 
 def test_recognize_provably_not():
     # the 2-dim F3[C3]-module from Z[zeta_3] is indecomposable non-permutation
-    comp = IntMat([[0, 1], [-1, -1]])
-    c3 = closure([comp])
     with pytest.raises(ProvablyNot):
-        is_permutation_modp(reduce_mod_p(std_lattice(c3), 3))
+        is_permutation_modp(reduce_mod_p(std_lattice(C3_ZETA), 3))
+
+
+def dense_hom_basis(m, c):
+    """Reference: Hom_{F_p[G]}(m, c) = {F : act_m(g) F = F act_c(g)},
+    solved as one linear system in all m.dim * c.dim entries of F."""
+    p = m.p
+    rm, rn = m.dim, c.dim
+    cols = []
+    for s in m.group.generator_indices:
+        a = m.act(s)
+        b = c.act(s)
+        for i in range(rm):
+            for k in range(rn):
+                col = [0] * (rm * rn)
+                for j in range(rm):
+                    col[j * rn + k] = (col[j * rn + k] + a[i][j]) % p
+                for j in range(rn):
+                    col[i * rn + j] = (col[i * rn + j] - b[j][k]) % p
+                cols.append(col)
+    if not cols:
+        return [[1 if e == t else 0 for e in range(rm * rn)]
+                for t in range(rm * rn)]
+    rows = [[c_[e] for c_ in cols] for e in range(rm * rn)]
+    return left_nullspace_modp(rows, p)
+
+
+def test_hom_basis_adjunction_matches_dense_solve():
+    modules = [reduce_mod_p(std_lattice(C2), 2),
+               reduce_mod_p(twisted_regular_c4(), 2),
+               reduce_mod_p(std_lattice(C3_ZETA), 3)]
+    modules += [reduce_mod_p(coset_lattice(WB2, q), 2)
+                for q in all_subgroups(WB2).representatives()]
+    for m in modules:
+        reps = all_subgroups(m.group).representatives()
+        for subs in [[q] for q in reps] + [reps]:
+            adj = _hom_basis_modp(m, subs)
+            dense = dense_hom_basis(
+                m, _direct_sum_perm_modp(m.group, subs, m.p))
+            assert rank_modp(adj, m.p) == len(adj) == len(dense)
+            assert rank_modp(adj + dense, m.p) == len(dense)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +224,11 @@ def test_permutation_lattices_invertible():
 
 def test_aug_ideal_s3_not_invertible():
     x = gset_from_permutation_matrices(S3)
-    assert not is_invertible(aug_ideal(x))
-    assert not is_invertible(j_lattice(x))
+    for m in (aug_ideal(x), j_lattice(x)):
+        inv = is_invertible(m)
+        assert not inv and not inv.verify()
+        # the record names the prime and its Sylow subgroup
+        assert inv.obstruction["sylow"].order == inv.obstruction["prime"]
 
 
 def test_invertible_implies_flasque_coflasque():
@@ -198,3 +243,28 @@ def test_invertible_implies_flasque_coflasque():
 def test_sign_lattice_not_invertible_over_c2():
     assert not is_invertible(std_lattice(C2))
     assert not is_coflasque(std_lattice(C2))
+
+
+def test_invertibility_witness_verifies():
+    for g in (S3, C4):
+        for h in all_subgroups(g).representatives():
+            inv = is_invertible(coset_lattice(g, h))
+            assert [w.prime for w in inv.witnesses] == \
+                [p for p in (2, 3) if g.order % p == 0]
+            assert inv.verify()
+
+
+def test_corrupted_invertibility_witness_fails():
+    inv = is_invertible(coset_lattice(S3, S3.trivial_subgroup()))
+    w = inv.witnesses[0]
+    # equivariant but not invertible
+    zero = replace(w, iso=tuple((0,) * len(row) for row in w.iso))
+    # invertible but not equivariant
+    swapped = replace(w, iso=(w.iso[1], w.iso[0]) + w.iso[2:])
+    bigger = [q for q in all_subgroups(w.subgroups[0].parent).representatives()
+              if q.order > w.subgroups[0].order][0]
+    wrong_subs = replace(w, subgroups=(bigger,) * len(w.subgroups))
+    for bad in (zero, swapped, wrong_subs):
+        assert isinstance(bad, SylowPermutationWitness)
+        assert not replace(inv, witnesses=(bad,) + inv.witnesses[1:]).verify()
+    assert not replace(inv, witnesses=inv.witnesses[1:]).verify()
