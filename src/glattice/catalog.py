@@ -41,6 +41,17 @@ class CatalogError(Exception):
     """Raised when a catalog file fails validation."""
 
 
+class ParseError(CatalogError):
+    """A lattice expression that does not parse or does not evaluate;
+    `offset` is the position in the text, when known."""
+
+    def __init__(self, message, offset=None):
+        if offset is not None:
+            message = "%s (at offset %d)" % (message, offset)
+        super().__init__(message)
+        self.offset = offset
+
+
 class UndecidedPairs(Exception):
     """Census rejected: some subgroup pairs neither merged nor separated.
 
@@ -250,59 +261,71 @@ def entry_by_gap_id(gap_id) -> CatalogEntry:
 # ---------------------------------------------------------------------------
 
 def parse_expr(text):
-    """Parse 'ident' or 'ident(arg,...)' trees; args may be idents/ints."""
-    pos = [0]
+    """Parse a lattice expression into a tree of (head, args) tuples.
+
+    The grammar, shared by catalog expectations and the ``glat``
+    command line::
+
+        expr  := token | token "(" expr ("," expr)* ")"
+        token := ident | "gens:[" word ("," word)* "]"
+        ident := one or more letters, digits, "_" or "-"
+
+    Whitespace may separate tokens.  A leaf is (token, ()), so integers
+    and names stay strings; a gens:[...] subgroup spec is one token with
+    its whitespace removed.  The parser gives no meaning to heads or
+    leaves: catalog.eval_expr and cli.eval_lattice_expr each check the
+    heads, arities and leaf types they accept.  Raises ParseError.
+    """
+    pos = 0
     s = text
 
     def skip_ws():
-        while pos[0] < len(s) and s[pos[0]].isspace():
-            pos[0] += 1
+        nonlocal pos
+        while pos < len(s) and s[pos].isspace():
+            pos += 1
 
-    def ident():
+    def token():
+        nonlocal pos
         skip_ws()
-        start = pos[0]
-        while pos[0] < len(s) and (s[pos[0]].isalnum()
-                                   or s[pos[0]] in "_-"):
-            pos[0] += 1
-        if pos[0] == start:
-            raise CatalogError(
-                "expected identifier at offset %d in %r" % (start, s))
-        return s[start:pos[0]]
+        start = pos
+        if s.startswith("gens:", pos):
+            end = s.find("]", pos)
+            if end < 0:
+                raise ParseError("unterminated gens:[...]", len(s))
+            pos = end + 1
+            spec = "".join(s[start:pos].split())
+            if not spec.startswith("gens:["):
+                raise ParseError("expected '[' after gens:", start)
+            return spec
+        while pos < len(s) and (s[pos].isalnum() or s[pos] in "_-"):
+            pos += 1
+        if pos == start:
+            raise ParseError("expected identifier", start)
+        return s[start:pos]
 
     def node():
-        head = ident()
+        nonlocal pos
+        head = token()
         skip_ws()
-        if pos[0] < len(s) and s[pos[0]] == "(":
-            pos[0] += 1
+        if pos < len(s) and s[pos] == "(":
+            pos += 1
             args = [node()]
             skip_ws()
-            while pos[0] < len(s) and s[pos[0]] == ",":
-                pos[0] += 1
+            while pos < len(s) and s[pos] == ",":
+                pos += 1
                 args.append(node())
                 skip_ws()
-            if pos[0] >= len(s) or s[pos[0]] != ")":
-                raise CatalogError(
-                    "expected ')' at offset %d in %r" % (pos[0], s))
-            pos[0] += 1
+            if pos >= len(s) or s[pos] != ")":
+                raise ParseError("expected ')'", pos)
+            pos += 1
             return (head, tuple(args))
         return (head, ())
 
     tree = node()
     skip_ws()
-    if pos[0] != len(s):
-        raise CatalogError(
-            "trailing input at offset %d in %r" % (pos[0], s))
+    if pos != len(s):
+        raise ParseError("trailing input", pos)
     return tree
-
-
-def _block_diag(a, b):
-    r, s = a.rows, b.rows
-    rows = []
-    for i in range(r):
-        rows.append(list(a.data[i]) + [0] * s)
-    for i in range(s):
-        rows.append([0] * r + list(b.data[i]))
-    return IntMat(rows)
 
 
 def eval_expr(tree) -> GLattice:
@@ -324,11 +347,11 @@ def eval_expr(tree) -> GLattice:
     if head == "sum":
         left = eval_expr(args[0])
         right = eval_expr(args[1])
-        gens = [_block_diag(left.group.elements[i],
-                            IntMat.identity(right.rank))
+        gens = [left.group.elements[i].block_diag(
+                    IntMat.identity(right.rank))
                 for i in left.group.generator_indices]
-        gens += [_block_diag(IntMat.identity(left.rank),
-                             right.group.elements[i])
+        gens += [IntMat.identity(left.rank).block_diag(
+                     right.group.elements[i])
                  for i in right.group.generator_indices]
         return std_lattice(closure(gens))
     if head == "wreath2":
@@ -337,8 +360,8 @@ def eval_expr(tree) -> GLattice:
         gens = []
         for i in inner.group.generator_indices:
             g = inner.group.elements[i]
-            gens.append(_block_diag(g, IntMat.identity(r)))
-            gens.append(_block_diag(IntMat.identity(r), g))
+            gens.append(g.block_diag(IntMat.identity(r)))
+            gens.append(IntMat.identity(r).block_diag(g))
         swap = IntMat([[1 if j == (i + r) % (2 * r) else 0
                         for j in range(2 * r)] for i in range(2 * r)])
         gens.append(swap)
@@ -492,7 +515,7 @@ def _canon_key(g: FiniteMatrixGroup):
     return tuple(sorted(m.data for m in g.elements))
 
 
-def census(roots, budget=60000, jobs=None) -> CensusReport:
+def census(roots, budget=60000) -> CensusReport:
     """Merge the subgroup classes of the root groups into Z-classes.
 
     Membership of two subgroups in the same Z-class is decided by

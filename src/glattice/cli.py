@@ -6,17 +6,13 @@ stdout (identical inputs give identical output minus the timing
 field).  Exit codes: 0 success, 1 "unknown/undecided" verdict,
 2 input error.
 
-This module also owns the lattice-expression surface syntax::
-
-    expr := ident | ident "(" args ")"
-    args := arg ("," arg)*
-    arg  := expr | integer | subgroup-spec
-
-with heads std, Z, sign(H), perm(H), I(H), J(H), dual(e), sum(e,e),
-tensor(e,e), ind(H,e), res(H,e), inflate(N,e), named(builder,n).
-Subgroup arguments are either a catalog entry name or
-``gens:[word,...]`` with words in the letters a,b,c,... naming the
-ambient group's generators in catalog order (e.g. ``gens:[a*b,c^-1]``).
+Lattice expressions (``--lattice``) follow the grammar documented at
+catalog.parse_expr, with heads std, Z, sign(H), perm(H), I(H), J(H),
+dual(e), sum(e,e), tensor(e,e), ind(H,e), res(H,e), inflate(N,e) and
+named(builder,n).  A subgroup argument H or N is ``trivial``, ``full``,
+a catalog entry name, or ``gens:[word,...]`` with words in the letters
+a,b,c,... naming the ambient group's generators in catalog order
+(e.g. ``gens:[a*b,c^-1]``).
 """
 
 import argparse
@@ -29,11 +25,11 @@ from .groups import (
     OrderCapExceeded,
     Subgroup,
     all_subgroups,
-    closure,
     structure_probe,
 )
-from .intlinalg import BudgetExhausted, IntMat
+from .intlinalg import BudgetExhausted
 from .lattices import (
+    NotIndexTwoNormal,
     aug_ideal,
     coset_gset,
     coset_lattice,
@@ -62,143 +58,27 @@ from .rationality import (
 from . import catalog as _catalog
 from .catalog import (
     CatalogError,
+    ParseError,
     UndecidedPairs,
     UnknownBuilder,
-    builtin_catalog,
     census,
     entry,
     load_catalog,
     named_lattice,
+    parse_expr,
 )
 
 
-class ParseError(Exception):
-    def __init__(self, message, offset):
-        super().__init__("%s (at offset %d)" % (message, offset))
-        self.offset = offset
-
-
 # ---------------------------------------------------------------------------
-# lattice expression parser
+# lattice expressions
 # ---------------------------------------------------------------------------
 
+# head -> number of arguments
 EXPR_HEADS = {
     "std": 0, "Z": 0, "sign": 1, "perm": 1, "I": 1, "J": 1,
     "dual": 1, "sum": 2, "tensor": 2, "ind": 2, "res": 2,
     "inflate": 2, "named": 2,
 }
-
-
-def parse_lattice_expr(text):
-    """Parse the surface syntax into a tree of (head, args) tuples.
-
-    Subgroup specs appear as ("#subgroup", spec-string) leaves and
-    integers as ("#int", value) leaves.
-    """
-    pos = [0]
-    s = text
-
-    def err(msg):
-        raise ParseError(msg, pos[0])
-
-    def skip_ws():
-        while pos[0] < len(s) and s[pos[0]].isspace():
-            pos[0] += 1
-
-    def ident():
-        skip_ws()
-        start = pos[0]
-        while pos[0] < len(s) and (s[pos[0]].isalnum()
-                                   or s[pos[0]] in "_-"):
-            pos[0] += 1
-        if pos[0] == start:
-            err("expected identifier")
-        return s[start:pos[0]]
-
-    def gens_spec():
-        # gens:[word,...] -- consume through the matching bracket
-        start = pos[0]
-        pos[0] += len("gens:")
-        skip_ws()
-        if pos[0] >= len(s) or s[pos[0]] != "[":
-            err("expected '[' after gens:")
-        pos[0] += 1
-        depth = 1
-        while pos[0] < len(s) and depth:
-            if s[pos[0]] == "[":
-                depth += 1
-            elif s[pos[0]] == "]":
-                depth -= 1
-            pos[0] += 1
-        if depth:
-            err("unterminated gens:[...]")
-        return ("#subgroup", "".join(s[start:pos[0]].split()))
-
-    def arg():
-        skip_ws()
-        if s[pos[0]:pos[0] + 5] == "gens:":
-            return gens_spec()
-        name = ident()
-        skip_ws()
-        if pos[0] < len(s) and s[pos[0]] == "(":
-            return finish_call(name)
-        if name.lstrip("-").isdigit():
-            return ("#int", int(name))
-        if name in EXPR_HEADS and EXPR_HEADS[name] == 0:
-            return (name, ())
-        # bare identifier in argument position: subgroup label or
-        # builder name, resolved by the evaluator
-        return ("#subgroup", name)
-
-    def finish_call(name):
-        # '(' already seen
-        pos[0] += 1
-        args = [arg()]
-        skip_ws()
-        while pos[0] < len(s) and s[pos[0]] == ",":
-            pos[0] += 1
-            args.append(arg())
-            skip_ws()
-        if pos[0] >= len(s) or s[pos[0]] != ")":
-            err("expected ')'")
-        pos[0] += 1
-        if name not in EXPR_HEADS:
-            err("unknown head %r" % name)
-        if EXPR_HEADS[name] != len(args):
-            err("%s takes %d argument(s)" % (name, EXPR_HEADS[name]))
-        return (name, tuple(args))
-
-    skip_ws()
-    if pos[0] >= len(s):
-        err("empty expression")
-    name = ident()
-    skip_ws()
-    if pos[0] < len(s) and s[pos[0]] == "(":
-        tree = finish_call(name)
-    else:
-        if name not in EXPR_HEADS or EXPR_HEADS[name] != 0:
-            err("unknown or incomplete expression %r" % name)
-        tree = (name, ())
-    skip_ws()
-    if pos[0] != len(s):
-        err("trailing input")
-    return tree
-
-
-def print_lattice_expr(tree):
-    head, args = tree
-    if head == "#int":
-        return str(args)
-    if head == "#subgroup":
-        return args
-    if not args:
-        return head
-    return "%s(%s)" % (head, ",".join(print_lattice_expr(a) for a in args))
-
-
-# ---------------------------------------------------------------------------
-# evaluation against an ambient group
-# ---------------------------------------------------------------------------
 
 def _word_to_index(g, word):
     """Evaluate a generator word like 'a*b^-1*c' to an element index."""
@@ -206,13 +86,13 @@ def _word_to_index(g, word):
     gens = g.generator_indices
     for factor in word.split("*"):
         if not factor:
-            raise ParseError("empty factor in word %r" % word, 0)
+            raise ParseError("empty factor in word %r" % word)
         base, _, exp = factor.partition("^")
         if len(base) != 1 or not ("a" <= base <= "z"):
-            raise ParseError("bad generator letter %r" % base, 0)
+            raise ParseError("bad generator letter %r" % base)
         k = ord(base) - ord("a")
         if k >= len(gens):
-            raise ParseError("group has no generator %r" % base, 0)
+            raise ParseError("group has no generator %r" % base)
         e = int(exp) if exp else 1
         x = gens[k]
         if e < 0:
@@ -223,33 +103,6 @@ def _word_to_index(g, word):
     return idx
 
 
-def _generated_subgroup(g, indices):
-    members = {0}
-    frontier = list(indices)
-    while frontier:
-        x = frontier.pop()
-        if x in members:
-            continue
-        members.add(x)
-        for y in list(members):
-            for z in (g.table[x][y], g.table[y][x]):
-                if z not in members:
-                    frontier.append(z)
-        frontier.append(g.inv[x])
-    # close under products until stable
-    changed = True
-    while changed:
-        changed = False
-        mem = list(members)
-        for a in mem:
-            for b in mem:
-                c = g.table[a][b]
-                if c not in members:
-                    members.add(c)
-                    changed = True
-    return Subgroup(g, frozenset(members))
-
-
 def resolve_subgroup(g, spec):
     """Subgroup of g from a spec: 'trivial', 'full', 'gens:[...]' with
     words in letters a,b,c,... (catalog generator order), or a catalog
@@ -257,14 +110,14 @@ def resolve_subgroup(g, spec):
     if spec in ("trivial", "1"):
         return g.trivial_subgroup()
     if spec in ("full", "G"):
-        return Subgroup(g, frozenset(range(g.order)))
+        return g.full_subgroup()
     if spec.startswith("gens:"):
         body = spec[len("gens:"):].strip()
         if not (body.startswith("[") and body.endswith("]")):
-            raise ParseError("expected gens:[...]", 0)
+            raise ParseError("expected gens:[...]")
         words = [w for w in body[1:-1].split(",") if w]
-        return _generated_subgroup(
-            g, [_word_to_index(g, w) for w in words])
+        return Subgroup(g, g.closure_indices(
+            [_word_to_index(g, w) for w in words]))
     e = entry(spec)  # raises KeyError for unknown names
     idx = []
     for m in e.generators:
@@ -273,17 +126,27 @@ def resolve_subgroup(g, spec):
                 "generators of %r are not elements of the ambient group"
                 % spec)
         idx.append(g.index[m])
-    return _generated_subgroup(g, idx)
+    return Subgroup(g, g.closure_indices(idx))
+
+
+def _leaf(arg, what):
+    """The token of a leaf argument; ParseError when arg has arguments."""
+    if arg[1]:
+        raise ParseError("expected %s, got %s(...)" % (what, arg[0]))
+    return arg[0]
 
 
 def eval_lattice_expr(tree, g):
-    """Evaluate a parsed expression against the ambient group g."""
+    """Evaluate a parse_expr tree against the ambient group g, checking
+    each head and its arity on the way; raises ParseError."""
     head, args = tree
+    if head not in EXPR_HEADS:
+        raise ParseError("unknown head %r" % head)
+    if EXPR_HEADS[head] != len(args):
+        raise ParseError("%s takes %d argument(s)" % (head, EXPR_HEADS[head]))
 
     def sub(a):
-        if a[0] != "#subgroup":
-            raise ParseError("expected a subgroup argument", 0)
-        return resolve_subgroup(g, a[1])
+        return resolve_subgroup(g, _leaf(a, "a subgroup"))
 
     if head == "std":
         return std_lattice(g)
@@ -316,13 +179,11 @@ def eval_lattice_expr(tree, g):
         n = sub(args[0])
         q, proj = quotient_group(g, n)
         return inflate(g, proj, eval_lattice_expr(args[1], q))
-    if head == "named":
-        if args[0][0] != "#subgroup":
-            raise ParseError("expected a builder name", 0)
-        if args[1][0] != "#int":
-            raise ParseError("expected an integer size", 0)
-        return named_lattice(args[0][1], args[1][1])
-    raise ParseError("unknown head %r" % head, 0)
+    # named
+    size = _leaf(args[1], "an integer size")
+    if not size.lstrip("-").isdigit():
+        raise ParseError("expected an integer size, got %r" % size)
+    return named_lattice(_leaf(args[0], "a builder name"), int(size))
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +257,9 @@ def cmd_group(args, rep):
 
 def cmd_cohomology(args, rep):
     g = _ambient(args.group)
-    lat = eval_lattice_expr(parse_lattice_expr(args.lattice), g)
+    lat = eval_lattice_expr(parse_expr(args.lattice), g)
     h = resolve_subgroup(g, args.subgroup) if args.subgroup else \
-        Subgroup(g, frozenset(range(g.order)))
+        g.full_subgroup()
     inv = tate(lat, h, args.degree)
     rep.report["inputs"] = {"group": args.group, "lattice": args.lattice,
                             "subgroup": args.subgroup, "degree": args.degree}
@@ -410,7 +271,7 @@ def cmd_cohomology(args, rep):
 
 def cmd_flasque(args, rep):
     g = _ambient(args.group)
-    lat = eval_lattice_expr(parse_lattice_expr(args.lattice), g)
+    lat = eval_lattice_expr(parse_expr(args.lattice), g)
     fl = flasque_resolution(lat)
     cert = fl.cert
     rep.report["inputs"] = {"group": args.group, "lattice": args.lattice}
@@ -428,7 +289,7 @@ def cmd_flasque(args, rep):
 
 def cmd_classify(args, rep):
     g = _ambient(args.group)
-    lat = eval_lattice_expr(parse_lattice_expr(args.lattice), g) \
+    lat = eval_lattice_expr(parse_expr(args.lattice), g) \
         if args.lattice else entry(args.group).lattice()
     rep.report["inputs"] = {"group": args.group, "lattice": args.lattice,
                             "hereditary": args.hereditary}
@@ -476,9 +337,9 @@ def cmd_census(args, rep):
     roots = tuple(args.roots.split(",")) if args.roots \
         else DIM_ROOTS[args.dim]
     rep.report["inputs"] = {"dim": args.dim, "roots": list(roots),
-                            "budget": args.budget, "jobs": args.jobs}
+                            "budget": args.budget}
     try:
-        out = census(roots, budget=args.budget, jobs=args.jobs)
+        out = census(roots, budget=args.budget)
     except UndecidedPairs as exc:
         out = exc.report
         rep.report["results"] = {
@@ -644,7 +505,6 @@ def _build_parser():
     sp = subs.add_parser("census", help="Z-class census")
     sp.add_argument("--dim", type=int, choices=(2, 3, 4))
     sp.add_argument("--roots")
-    sp.add_argument("--jobs", type=int)
     sp.add_argument("--budget", type=int, default=60000)
     sp.set_defaults(fn=cmd_census)
 
@@ -669,7 +529,7 @@ def run(argv):
     rep = Reporter(argv, args.json)
     try:
         code = args.fn(args, rep)
-    except (ParseError, CatalogError, UnknownBuilder, KeyError,
+    except (CatalogError, UnknownBuilder, KeyError, NotIndexTwoNormal,
             OrderCapExceeded, OSError, ValueError) as exc:
         rep.report["error"] = str(exc)
         rep.line("error: %s" % exc)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd
 
 import numpy as np
 
@@ -61,6 +60,7 @@ class FiniteMatrixGroup:
         self._charpolys = None
         self._conj_class_of = None
         self._subgroups = None
+        self._h0_table = None      # homology._h0_table
 
     # -- basic data --------------------------------------------------------
 
@@ -154,12 +154,6 @@ class FiniteMatrixGroup:
             self._conj_class_of = cls
         return self._conj_class_of
 
-    def class_sizes(self):
-        sizes = {}
-        for c in self.conj_class_of:
-            sizes[c] = sizes.get(c, 0) + 1
-        return sizes
-
     def mul(self, i, j):
         return self.table[i][j]
 
@@ -188,6 +182,16 @@ class FiniteMatrixGroup:
                     members.add(y)
                     frontier.append(y)
         return frozenset(members)
+
+    def powers(self, i):
+        """Element indices 0, i, i^2, ... of the cyclic subgroup <i>."""
+        t = self.table
+        out = [0]
+        x = i
+        while x != 0:
+            out.append(x)
+            x = t[x][i]
+        return out
 
     def generating_set(self, members):
         """Small generating sequence for a subgroup given by member indices."""
@@ -230,9 +234,6 @@ class Subgroup:
     def generators(self):
         return self.parent.generating_set(self.members)
 
-    def generator_matrices(self):
-        return [self.parent.elements[i] for i in self.generators()]
-
     def matrices(self):
         return [self.parent.elements[i] for i in self.sorted_members]
 
@@ -245,9 +246,6 @@ class Subgroup:
         gen_pos = [elems.index(self.parent.elements[i]) for i in gens]
         return FiniteMatrixGroup(self.parent.rank, elems, gen_pos, name=name)
 
-    def contains_index(self, i):
-        return i in self.members
-
     def is_normal(self):
         g = self.parent
         for s in g.generator_indices:
@@ -257,11 +255,6 @@ class Subgroup:
 
     def conjugate_by(self, g_idx):
         return Subgroup(self.parent, self.parent.conjugate_set(self.members, g_idx))
-
-    def normalizer_members(self):
-        g = self.parent
-        return [x for x in range(g.order)
-                if g.conjugate_set(self.members, x) == self.members]
 
     def __contains__(self, other):
         return other.members <= self.members
@@ -343,13 +336,6 @@ class SubgroupClassification:
 
     def total_subgroups(self):
         return sum(c.size for c in self.classes)
-
-    def class_of(self, members):
-        members = frozenset(members)
-        for c in self.classes:
-            if members in c.orbit:
-                return c
-        raise KeyError("not a subgroup of this classification")
 
     def representatives(self):
         return [c.representative for c in self.classes]
@@ -523,7 +509,7 @@ def structure_probe(g: FiniteMatrixGroup, with_normal_subgroups=True) -> Structu
     is_abelian = all(t[i][j] == t[j][i]
                      for i in g.generator_indices for j in g.generator_indices)
     primes = _prime_factors(n)
-    syl_cyc = all(_subgroup_is_cyclic(g, sylow(g, p)) for p in primes)
+    syl_cyc = all(_is_cyclic(g, sylow(g, p).members) for p in primes)
     center = frozenset(i for i in range(n)
                        if all(t[i][s] == t[s][i] for s in g.generator_indices))
     normals = []
@@ -534,9 +520,10 @@ def structure_probe(g: FiniteMatrixGroup, with_normal_subgroups=True) -> Structu
                           Subgroup(g, center), normals)
 
 
-def _subgroup_is_cyclic(g, h: Subgroup):
-    orders = g.element_orders
-    return any(orders[i] == h.order for i in h.members)
+def _is_cyclic(g, members):
+    """Whether the subgroup given by its member indices is cyclic."""
+    k = len(members)
+    return any(g.element_orders[i] == k for i in members)
 
 
 def _prime_factors(n):
@@ -558,35 +545,6 @@ def _prime_factors(n):
 # abstract isomorphisms and GL_r(Z) conjugacy
 # ---------------------------------------------------------------------------
 
-def _iso_gen_data(g1: FiniteMatrixGroup):
-    """Deterministic small generating sequence for isomorphism search."""
-    gens = g1.generating_set(frozenset(range(g1.order)))
-    return gens
-
-
-def _hom_extends(g1, g2, gens, images):
-    """If gens -> images extends to a homomorphism g1 -> g2, return the full
-    image map (list), else None.  Defined by breadth-first word evaluation
-    with consistency checking."""
-    t1, t2 = g1.table, g2.table
-    f = [-1] * g1.order
-    f[0] = 0
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for a, b in zip(gens, images):
-            y = t1[x][a]
-            fy = t2[f[x]][b]
-            if f[y] == -1:
-                f[y] = fy
-                frontier.append(y)
-            elif f[y] != fy:
-                return None
-    if -1 in f:
-        return None  # gens do not generate g1 (should not happen)
-    return f
-
-
 def iter_isomorphisms(g1: FiniteMatrixGroup, g2: FiniteMatrixGroup,
                       match_charpoly=True, limit=None):
     """Yield isomorphisms g1 -> g2 as full image maps.
@@ -599,7 +557,7 @@ def iter_isomorphisms(g1: FiniteMatrixGroup, g2: FiniteMatrixGroup,
     if g1.order != g2.order:
         return
     n = g1.order
-    gens = _iso_gen_data(g1)
+    gens = g1.generating_set(frozenset(range(g1.order)))
     if not gens:
         yield [0] * 1
         return
@@ -720,7 +678,7 @@ def glz_conjugate(g1: FiniteMatrixGroup, g2: FiniteMatrixGroup,
         raise ProvablyDistinct("order mismatch")
     if sorted(g1.charpolys) != sorted(g2.charpolys):
         raise ProvablyDistinct("characteristic polynomial multiset mismatch")
-    gens = _iso_gen_data(g1)
+    gens = g1.generating_set(frozenset(range(g1.order)))
     if not gens:  # trivial groups
         return IntMat.identity(g1.rank)
     found_iso = False

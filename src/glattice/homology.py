@@ -19,7 +19,6 @@ from math import gcd
 
 from .intlinalg import (
     AbelianInvariants,
-    BudgetExhausted,
     IntMat,
     cokernel_invariants,
     hnf,
@@ -39,12 +38,12 @@ from .lattices import (
     EquivariantMap,
     GLattice,
     coset_gset,
+    coset_gset_sum,
     coset_lattice,
     coset_transversal,
     direct_sum,
     dual,
     fixed_sublattice,
-    GSet,
     gset_isomorphism,
     hom_basis,
     recognize_permutation,
@@ -240,7 +239,7 @@ def find_isomorphism_parts(group, parts1, parts2, budget=20000):
         # source directly and match its orbit structure to the cosets
         w = recognize_permutation(m1, budget=budget)
         if w is not None:
-            phi = gset_isomorphism(w.gset, _parts_gset(group, parts2))
+            phi = gset_isomorphism(w.gset, coset_gset_sum(group, parts2))
             if phi is not None:
                 q = IntMat([[1 if phi[i] == j else 0 for j in range(m2.rank)]
                             for i in range(m1.rank)])
@@ -253,30 +252,14 @@ def find_isomorphism_parts(group, parts1, parts2, budget=20000):
     return m1, m2, f
 
 
-def _parts_gset(group, parts):
-    """Disjoint union of the coset G-sets, points offset in order (the
-    same coordinate layout as parts_lattice on subgroup parts)."""
-    gsets = [coset_gset(group, h) for h in parts]
-    perms = []
-    for g in range(group.order):
-        p = []
-        off = 0
-        for gs in gsets:
-            p.extend(off + gs.perms[g][i] for i in range(gs.points))
-            off += gs.points
-        perms.append(tuple(p))
-    return GSet(group, sum(gs.points for gs in gsets), tuple(perms))
-
-
-def solve_in_hom(hom_mats, left_factor, rhs):
-    """Integer combination F = sum c_i hom_mats[i] with left_factor * F = rhs.
-    Returns F or None.  With left_factor = None solves F = rhs directly."""
+def solve_in_hom(hom_mats, products, rhs):
+    """Integer combination F = sum c_i hom_mats[i] whose product is rhs,
+    where products[i] is the product taken with hom_mats[i] (e.g.
+    inj * hom_mats[i]); the same coefficients combine the products.
+    Returns F or None."""
     if not hom_mats:
         return None
-    images = []
-    for f in hom_mats:
-        g = f if left_factor is None else left_factor * f
-        images.append([x for row in g.data for x in row])
+    images = [[x for row in g.data for x in row] for g in products]
     target = [x for row in rhs.data for x in row]
     coeffs = solve_left(IntMat(images), IntMat([target]))
     if coeffs is None:
@@ -447,7 +430,8 @@ def florence_combine(sq1: SectionedSequence,
     # solve for a section of degree d1*d2 inside Hom_G(C3, B3)
     homs = hom_basis(t3, b3)
     d3 = sq1.degree * sq2.degree
-    s3 = _solve_section(homs, pi3, d3, t3.rank)
+    s3 = solve_in_hom(homs, [f * pi3 for f in homs],
+                      IntMat.identity(t3.rank).scale(d3))
     if s3 is None:
         raise SectionInvalid("no section of degree %d exists" % d3)
     out = SectionedSequence(cert, EquivariantMap(t3, b3, s3), d3)
@@ -471,26 +455,6 @@ def _bezout_pair(d1, d2):
         alpha += d1
     assert beta * d1 - alpha * d2 == 1 and beta and alpha
     return beta, alpha
-
-
-def _solve_section(homs, pi, degree, crank):
-    rhs = IntMat.identity(crank).scale(degree)
-    images = []
-    for f in homs:
-        g = f * pi
-        images.append([x for row in g.data for x in row])
-    if not images:
-        return None
-    coeffs = solve_left(IntMat(images),
-                        IntMat([[x for row in rhs.data for x in row]]))
-    if coeffs is None:
-        return None
-    total = None
-    for c, f in zip(coeffs.data[0], homs):
-        if c:
-            term = f.scale(c)
-            total = term if total is None else total + term
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +507,8 @@ def pullback_split(bottom: ExactSequenceCert, rightcol: ExactSequenceCert,
     r2 = _find_retraction(e, a, j2)
     if r1 is None or r2 is None:
         return None
-    phi1 = _glue(r1, q1)     # E -> A' + B
-    phi2 = _glue(r2, q2)     # E -> A  + B'
+    phi1 = r1.hstack(q1)     # E -> A' + B
+    phi2 = r2.hstack(q2)     # E -> A  + B'
     sum1 = direct_sum(a, b2)
     sum2 = direct_sum(a2, b)
     assert phi1.is_unimodular() and phi2.is_unimodular()
@@ -557,11 +521,8 @@ def _find_retraction(e: GLattice, a: GLattice, inj: IntMat):
     if a.rank == 0:
         return IntMat.zeros(e.rank, 0)
     homs = hom_basis(e, a)
-    return solve_in_hom(homs, inj, IntMat.identity(a.rank))
-
-
-def _glue(r: IntMat, q: IntMat) -> IntMat:
-    return r.hstack(q)
+    return solve_in_hom(homs, [inj * f for f in homs],
+                        IntMat.identity(a.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -582,18 +543,15 @@ def _multiplicity(inv: AbelianInvariants, q):
     return sum(1 for f in inv.factors if f % q == 0)
 
 
-_H0_CACHE = {}
-
-
 def _h0_table(group):
-    """tate(Z[G/H_d], H, 0) for all pairs of subgroup class reps (cached)."""
-    key = id(group)
-    if key not in _H0_CACHE:
+    """tate(Z[G/H_d], H, 0) for all pairs of subgroup class reps, cached
+    on the group."""
+    if group._h0_table is None:
         reps = all_subgroups(group).representatives()
         lats = [coset_lattice(group, d) for d in reps]
         table = [[tate(l, h, 0) for h in reps] for l in lats]
-        _H0_CACHE[key] = (reps, lats, table)
-    return _H0_CACHE[key]
+        group._h0_table = (reps, lats, table)
+    return group._h0_table
 
 
 @dataclass
@@ -789,10 +747,8 @@ def _closing_sequence(fl: FlasqueResolution, pads, tgts, target_lat, iso):
     mid2 = direct_sum(cert.mid, pad_lat)
     inj2 = cert.inj.matrix.hstack(IntMat.zeros(cert.left.rank, pad_lat.rank))
     # P + pads -> F + pads, block diagonal, then the isomorphism
-    top = cert.surj.matrix.hstack(IntMat.zeros(cert.mid.rank, pad_lat.rank))
-    bot = IntMat.zeros(pad_lat.rank, cert.right.rank).hstack(
-        IntMat.identity(pad_lat.rank))
-    surj2 = top.stack(bot) * iso.matrix
+    surj2 = cert.surj.matrix.block_diag(
+        IntMat.identity(pad_lat.rank)) * iso.matrix
     out = ExactSequenceCert(cert.left, mid2, target_lat,
                             EquivariantMap(cert.left, mid2, inj2),
                             EquivariantMap(mid2, target_lat, surj2),

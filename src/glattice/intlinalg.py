@@ -16,7 +16,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 
 class BudgetExhausted(Exception):
@@ -152,6 +151,11 @@ class IntMat:
     def hstack(self, other):
         assert self.rows == other.rows
         return IntMat([r + s for r, s in zip(self.data, other.data)])
+
+    def block_diag(self, other):
+        """The block-diagonal matrix with blocks self and other."""
+        return IntMat([list(r) + [0] * other.cols for r in self.data]
+                      + [[0] * self.cols + list(r) for r in other.data])
 
     def submatrix(self, rows, cols):
         return IntMat([[self.data[i][j] for j in cols] for i in rows])
@@ -303,11 +307,6 @@ def kernel_basis(a: IntMat) -> IntMat:
     f = hnf(a)
     rank = f.rank
     return IntMat(f.u.data[rank:]) if rank < a.rows else IntMat.zeros(0, a.rows)
-
-
-def row_space_contains(a: IntMat, v) -> bool:
-    """Is the integer row vector v in the Z-row-span of a?"""
-    return solve_left(a, IntMat([list(v)])) is not None
 
 
 def solve_left(a: IntMat, b: IntMat):

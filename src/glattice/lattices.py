@@ -45,9 +45,14 @@ class NotIndexTwoNormal(Exception):
 # ---------------------------------------------------------------------------
 
 class GLattice:
-    """A lattice Z^rank with a right row-action of a finite matrix group."""
+    """A lattice Z^rank with a right row-action of a finite matrix group.
 
-    __slots__ = ("group", "rank", "_action", "name")
+    `construction` records how a constructor built the lattice, for
+    detectors that need that provenance, e.g. ("aug_tensor", X, Y) for
+    I_X (x) I_Y; None otherwise.
+    """
+
+    __slots__ = ("group", "rank", "_action", "name", "construction")
 
     def __init__(self, group: FiniteMatrixGroup, action, name=None, check=True):
         self.group = group
@@ -55,6 +60,7 @@ class GLattice:
         assert len(self._action) == group.order
         self.rank = self._action[0].rows if self._action else 0
         self.name = name
+        self.construction = None
         if check and group.order > 1:
             self._check_on_generators()
 
@@ -169,10 +175,6 @@ class EquivariantMap:
                 return False
         return True
 
-    def compose(self, other: "EquivariantMap") -> "EquivariantMap":
-        assert self.target is other.source or self.target == other.source
-        return EquivariantMap(self.source, other.target, self.matrix * other.matrix)
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -214,6 +216,20 @@ def coset_gset(g: FiniteMatrixGroup, h: Subgroup) -> GSet:
     return GSet(g, len(reps), perms)
 
 
+def coset_gset_sum(g: FiniteMatrixGroup, subgroups) -> GSet:
+    """Disjoint union of the coset G-sets of the subgroups, points offset
+    in order (the coordinate layout of a direct sum of coset lattices)."""
+    gsets = [coset_gset(g, h) for h in subgroups]
+    perms = []
+    for x in range(g.order):
+        p = []
+        for gs in gsets:
+            off = len(p)
+            p.extend(off + i for i in gs.perms[x])
+        perms.append(tuple(p))
+    return GSet(g, sum(gs.points for gs in gsets), tuple(perms))
+
+
 def perm_lattice(x: GSet, name=None) -> GLattice:
     n = x.points
     action = []
@@ -240,33 +256,17 @@ def gset_isomorphism(a: GSet, b: GSet):
     if a.points != b.points:
         return None
     n = a.group.order
-
-    def orbits(x):
-        seen = [False] * x.points
-        out = []
-        for p in range(x.points):
-            if seen[p]:
-                continue
-            orb = sorted({x.perms[g][p] for g in range(n)})
-            for q in orb:
-                seen[q] = True
-            out.append(orb)
-        return out
-
-    def stab(x, p):
-        return frozenset(g for g in range(n) if x.perms[g][p] == p)
-
     phi = [None] * a.points
     used = set()
-    borbs = orbits(b)
-    for orb in orbits(a):
-        s = stab(a, orb[0])
+    borbs = b.orbits()
+    for orb in a.orbits():
+        s = a.stabilizer(orb[0]).members
         match = None
         for bo in borbs:
             if bo[0] in used or len(bo) != len(orb):
                 continue
             for q in bo:
-                if stab(b, q) == s:
+                if b.stabilizer(q).members == s:
                     match = q
                     break
             if match is not None:
@@ -356,27 +356,8 @@ def dual(m: GLattice, name=None) -> GLattice:
 
 def direct_sum(m: GLattice, n: GLattice, name=None) -> GLattice:
     assert m.group is n.group
-    action = []
-    for a, b in zip(m.action, n.action):
-        rows = []
-        for r in a.data:
-            rows.append(list(r) + [0] * n.rank)
-        for r in b.data:
-            rows.append([0] * m.rank + list(r))
-        action.append(IntMat(rows) if rows else IntMat.zeros(0, 0))
+    action = [a.block_diag(b) for a, b in zip(m.action, n.action)]
     return GLattice(m.group, action, name=name)
-
-
-def direct_sum_many(lats, group=None, name=None) -> GLattice:
-    if not lats:
-        assert group is not None
-        return GLattice(group, [IntMat.zeros(0, 0)] * group.order,
-                        name=name, check=False)
-    out = lats[0]
-    for l in lats[1:]:
-        out = direct_sum(out, l)
-    out.name = name
-    return out
 
 
 def tensor(m: GLattice, n: GLattice, name=None) -> GLattice:
@@ -404,16 +385,7 @@ def induce(h: Subgroup, m: GLattice, name=None) -> GLattice:
     """
     g = h.parent
     t, inv = g.table, g.inv
-    # coset transversal
-    coset_of = [-1] * g.order
-    reps = []
-    for x in range(g.order):
-        if coset_of[x] >= 0:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for hi in h.members:
-            coset_of[t[hi][x]] = idx
+    reps, coset_of = coset_transversal(g, h)
     k = len(reps)
     r = m.rank
     sub_index = {mat: i for i, mat in enumerate(m.group.elements)}
@@ -632,7 +604,7 @@ def find_isomorphism(m: GLattice, n: GLattice, budget=20000) -> EquivariantMap:
 
 
 def _cyclic_subgroup_reps(g: FiniteMatrixGroup):
-    t = g.table
+    """One cyclic subgroup <i> per conjugacy class of elements i."""
     seen = set()
     reps = []
     cls = g.conj_class_of
@@ -641,20 +613,11 @@ def _cyclic_subgroup_reps(g: FiniteMatrixGroup):
         if cls[i] in done_classes:
             continue
         done_classes.add(cls[i])
-        members = frozenset(_cycle(t, i))
+        members = frozenset(g.powers(i))
         if members not in seen:
             seen.add(members)
             reps.append(Subgroup(g, members))
     return reps
-
-
-def _cycle(t, i):
-    out = [0]
-    x = i
-    while x != 0:
-        out.append(x)
-        x = t[x][i]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -677,24 +640,6 @@ def _short_vectors(rank, radius):
     for v in itertools.product(range(-radius, radius + 1), repeat=rank):
         if any(v):
             yield v
-
-
-def _vector_orbit(m: GLattice, v, up_to_sign=False):
-    """Orbit of the row vector v under the action (as tuples); None if the
-    orbit has more than rank elements (cannot be part of a basis)."""
-    cap = m.rank
-    vm = IntMat([list(v)])
-    orbit = []
-    seen = set()
-    for g in range(m.group.order):
-        w = tuple((vm * m.act(g)).data[0])
-        key = max(w, tuple(-x for x in w)) if up_to_sign else w
-        if key not in seen:
-            seen.add(key)
-            orbit.append(key)
-            if len(orbit) > cap:
-                return None
-    return sorted(orbit)
 
 
 def recognize_permutation(m: GLattice, budget=200000, max_radius=3):

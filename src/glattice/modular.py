@@ -27,7 +27,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .intlinalg import BudgetExhausted, IntMat
+from .intlinalg import BudgetExhausted
 from .groups import (
     FiniteMatrixGroup,
     Subgroup,
@@ -38,7 +38,7 @@ from .groups import (
 )
 from .lattices import (
     GLattice,
-    coset_gset,
+    coset_gset_sum,
     coset_transversal,
     fixed_sublattice,
     restrict,
@@ -166,13 +166,6 @@ def reduce_mod_p(m: GLattice, p: int) -> ModpModule:
     return ModpModule(p, m.group, m.rank, action)
 
 
-def _perm_modp(group, gset, p) -> ModpModule:
-    n = gset.points
-    action = tuple(tuple(tuple(1 if perm[i] == j else 0 for j in range(n))
-                         for i in range(n)) for perm in gset.perms)
-    return ModpModule(p, group, n, action)
-
-
 # ---------------------------------------------------------------------------
 # cohomological triviality / projectivity
 # ---------------------------------------------------------------------------
@@ -237,26 +230,34 @@ def _orbit_count(group, h: Subgroup, q: Subgroup) -> int:
     return len(double_cosets(group, h, q))
 
 
-def _candidate_multisets(indices, dim, limit):
-    """Multisets of subgroup-class positions whose coset sizes sum to dim,
-    enumerated deterministically (largest subgroup = smallest index first)."""
-    out = []
+def _candidate_multisets(columns, profile):
+    """Every multiset of subgroup-class positions whose orbit counts meet
+    the fixed-point dimensions: columns[q][h] is the number of orbits of
+    class rep h on the cosets of class rep q, profile[h] the dimension of
+    the h-fixed space, and the columns of a multiset must sum to profile.
 
-    def rec(pos, remaining, chosen):
-        if remaining == 0:
-            out.append(tuple(chosen))
+    Positions come in ascending order, each as often as it repeats, and
+    multisets in depth-first order, each position before its successors
+    (the trivial subgroup, position 0, first).  Orbit counts are >= 0, so
+    a partial sum that passes profile in some row has no completion and
+    is pruned; row 0 (the trivial subgroup) counts points, at least one
+    per column, so every branch ends.
+    """
+    chosen = []
+
+    def rec(pos, partial):
+        if partial == profile:
+            yield tuple(chosen)
             return
-        if pos == len(indices) or len(out) >= limit:
-            return
-        size = indices[pos]
-        if size <= remaining:
-            chosen.append(pos)
-            rec(pos, remaining - size, chosen)
+        for q in range(pos, len(columns)):
+            total = [s + c for s, c in zip(partial, columns[q])]
+            if any(s > t for s, t in zip(total, profile)):
+                continue
+            chosen.append(q)
+            yield from rec(q, total)
             chosen.pop()
-        rec(pos + 1, remaining, chosen)
 
-    rec(0, dim, [])
-    return out
+    return rec(0, [0] * len(profile))
 
 
 def _hom_basis_modp(m: ModpModule, subs):
@@ -290,36 +291,26 @@ def is_permutation_modp(m: ModpModule, budget=20000):
     """Recognize m as a direct sum of coset permutation modules of its
     p-group.  Returns (multiset of Subgroups, isomorphism matrix rows) or
     raises ProvablyNot / BudgetExhausted.
+
+    Every subgroup multiset that meets the fixed-point dimensions is a
+    candidate, so ProvablyNot means none exists.  `budget` bounds only
+    the isomorphism search over the candidates.
     """
     p = m.p
     group = m.group
     assert all(q == p for q in _prime_factors(group.order)), "group must be a p-group"
     if m.dim == 0:
         return ([], [])
-    cls = all_subgroups(group)
-    reps = cls.representatives()
-    sizes = [group.order // h.order for h in reps]
-    # invariant data: fixed dims of m under every class rep
-    fixed_profile = [m.fixed_dim(h.members) for h in reps]
-    # orbit counts of each rep acting on each coset space
-    orbit_counts = [[_orbit_count(group, h, q) for q in reps] for h in reps]
-    multisets = _candidate_multisets(sizes, m.dim, limit=budget)
-    if not multisets:
-        raise ProvablyNot("no subgroup multiset matches the dimension")
-    survivors = []
-    for ms in multisets:
-        ok = True
-        for hi in range(len(reps)):
-            if sum(orbit_counts[hi][pos] for pos in ms) != fixed_profile[hi]:
-                ok = False
-                break
-        if ok:
-            survivors.append(ms)
-    if not survivors:
-        raise ProvablyNot("fixed-point dimensions rule out every candidate")
+    reps = all_subgroups(group).representatives()
+    # invariant data: fixed dims of m under every class rep, and the orbit
+    # counts of each rep on each coset space
+    profile = [m.fixed_dim(h.members) for h in reps]
+    columns = [[_orbit_count(group, h, q) for h in reps] for q in reps]
     rng = random.Random(0)
     spent = 0
-    for ms in survivors:
+    survivors = 0
+    for ms in _candidate_multisets(columns, profile):
+        survivors += 1
         subs = [reps[pos] for pos in ms]
         basis = _hom_basis_modp(m, subs)
         if not basis:
@@ -350,6 +341,8 @@ def is_permutation_modp(m: ModpModule, budget=20000):
             return (subs, found)
         if spent > budget:
             break
+    if not survivors:
+        raise ProvablyNot("fixed-point dimensions rule out every candidate")
     raise BudgetExhausted(
         "candidates survive the invariant checks but no isomorphism found",
         candidates=spent)
@@ -372,24 +365,12 @@ def _intertwines(m: ModpModule, c: ModpModule, f) -> bool:
 
 
 def _direct_sum_perm_modp(group, subs, p) -> ModpModule:
-    gsets = [coset_gset(group, q) for q in subs]
-    dim = sum(x.points for x in gsets)
-    action = []
-    for g in range(group.order):
-        rows = []
-        off = 0
-        offs = []
-        for x in gsets:
-            offs.append(off)
-            off += x.points
-        for x, o in zip(gsets, offs):
-            perm = x.perms[g]
-            for i in range(x.points):
-                row = [0] * dim
-                row[o + perm[i]] = 1
-                rows.append(row)
-        action.append(tuple(tuple(r) for r in rows))
-    return ModpModule(p, group, dim, tuple(action))
+    """The permutation module of the cosets of subs, over F_p."""
+    x = coset_gset_sum(group, subs)
+    n = x.points
+    action = tuple(tuple(tuple(1 if perm[i] == j else 0 for j in range(n))
+                         for i in range(n)) for perm in x.perms)
+    return ModpModule(p, group, n, action)
 
 
 # ---------------------------------------------------------------------------

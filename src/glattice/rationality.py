@@ -27,12 +27,13 @@ quasi-permutation certificate).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import factorial, gcd
 
 from .intlinalg import BudgetExhausted, IntMat, cokernel_invariants
 from .groups import (
     FiniteMatrixGroup,
     Subgroup,
+    _is_cyclic,
     _prime_factors,
     all_subgroups,
     closure,
@@ -99,27 +100,14 @@ class RationalityVerdict:
 
 
 # ---------------------------------------------------------------------------
-# construction registry (for detectors that need provenance)
+# constructions with provenance
 # ---------------------------------------------------------------------------
 
-_CONSTRUCTIONS = {}
-
-
-def register_construction(m: GLattice, info):
-    """Attach construction provenance to a lattice, e.g.
-    ("aug_tensor", X, Y) for I_X (x) I_Y."""
-    _CONSTRUCTIONS[m] = info
-
-
-def construction_of(m: GLattice):
-    return _CONSTRUCTIONS.get(m)
-
-
 def aug_tensor(x: GSet, y: GSet, name=None) -> GLattice:
-    """I_X (x) I_Y with its construction registered (the coprime-tensor
-    detector only fires on registered products)."""
+    """I_X (x) I_Y with its construction recorded on the lattice (the
+    coprime-tensor detector only fires on recorded products)."""
     m = tensor(aug_ideal(x), aug_ideal(y), name=name)
-    register_construction(m, ("aug_tensor", x, y))
+    m.construction = ("aug_tensor", x, y)
     return m
 
 
@@ -395,8 +383,8 @@ def _classify_hereditary(m, budget, depth):
         return RationalityVerdict(
             HEREDITARILY_RATIONAL,
             (CertStep("augmentation_ideal", {"gset": gset, "points": pts}),))
-    # registered coprime tensor of augmentation ideals
-    info = construction_of(m)
+    # recorded coprime tensor of augmentation ideals
+    info = m.construction
     if info and info[0] == "aug_tensor":
         _tag, x, y = info
         if gcd(x.points, y.points) == 1:
@@ -503,11 +491,6 @@ def _sylows_all_cyclic(g: FiniteMatrixGroup):
     return True
 
 
-def _is_cyclic(g, members):
-    k = len(members)
-    return any(g.element_orders[i] == k for i in members)
-
-
 def _is_nilpotent(g: FiniteMatrixGroup):
     """Nilpotent iff every Sylow subgroup is normal."""
     for p in _prime_factors(g.order):
@@ -520,19 +503,10 @@ def _cyclic_subgroups(g):
     seen = set()
     out = []
     for i in range(g.order):
-        members = frozenset(_cyc(g.table, i))
+        members = frozenset(g.powers(i))
         if members not in seen:
             seen.add(members)
             out.append((i, members))
-    return out
-
-
-def _cyc(t, i):
-    out = [0]
-    x = i
-    while x != 0:
-        out.append(x)
-        x = t[x][i]
     return out
 
 
@@ -563,7 +537,7 @@ def _is_dihedral_odd(g, members=None):
     if not rot:
         return False
     r = rot[0]
-    cyc = set(_cyc(g.table, r))
+    cyc = set(g.powers(r))
     if len(cyc) != n or not cyc <= set(mem):
         return False
     flips = [i for i in mem if i not in cyc]
@@ -591,7 +565,7 @@ def _galois_stable_shape(g: FiniteMatrixGroup):
             # t s t^-1 == s^-1
             if t[t[ti][si]][inv[ti]] != inv[si]:
                 continue
-            d_members = _closure_members(g, [si, ti])
+            d_members = g.closure_indices([si, ti])
             if len(d_members) != k * two:
                 continue
             # a cyclic odd complement centralizing <s, t>
@@ -607,23 +581,9 @@ def _galois_stable_shape(g: FiniteMatrixGroup):
                     continue
                 if any(t[zi][x] != t[x][zi] for x in d_members):
                     continue
-                if len(_closure_members(g, [si, ti, zi])) == g.order:
+                if len(g.closure_indices([si, ti, zi])) == g.order:
                     return True
     return False
-
-
-def _closure_members(g, gens):
-    t = g.table
-    out = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for s in gens:
-            y = t[x][s]
-            if y not in out:
-                out.add(y)
-                frontier.append(y)
-    return out
 
 
 def _theorem2_stable_shape(g: FiniteMatrixGroup, h: Subgroup):
@@ -648,47 +608,25 @@ def _theorem2_stable_shape(g: FiniteMatrixGroup, h: Subgroup):
         if any(t[zi][x] != t[x][zi] for x in range(g.order)):
             continue
         # find a complement containing H
-        for cand in _subgroups_of_order(g, dn):
-            if hgen not in cand:
+        for cls in all_subgroups(g).classes:
+            if cls.representative.order != dn:
                 continue
-            if cand & z_members != {0}:
-                continue
-            if not _is_dihedral_odd(g, cand):
-                continue
-            if len(_closure_members(g, list(cand) + [zi])) == g.order:
-                return True
+            for cand in cls.orbit:
+                if hgen not in cand:
+                    continue
+                if cand & z_members != {0}:
+                    continue
+                if not _is_dihedral_odd(g, cand):
+                    continue
+                if len(g.closure_indices(list(cand) + [zi])) == g.order:
+                    return True
     return False
 
 
-def _subgroups_of_order(g, k):
-    out = []
-    for rep in all_subgroups(g).representatives():
-        if rep.order == k:
-            out.extend(s.members for s in _conjugates(g, rep))
-    return out
-
-
-def _conjugates(g, sub):
-    seen = set()
-    out = []
-    for x in range(g.order):
-        mem = g.conjugate_set(sub.members, x)
-        if mem not in seen:
-            seen.add(mem)
-            out.append(Subgroup(g, mem))
-    return out
-
-
 def _coset_image(g, h):
-    """(image permutation group on cosets, faithful?, all even?)."""
+    """(coset G-set, faithful?, all even?)."""
     x = coset_gset(g, h)
-    n = x.points
-    mats = []
-    for p in x.perms:
-        mats.append(IntMat([[1 if p[i] == j else 0 for j in range(n)]
-                            for i in range(n)]))
-    distinct = len(set(mats))
-    faithful = distinct == g.order
+    faithful = len(set(x.perms)) == g.order
     even = all(_perm_sign(p) == 1 for p in x.perms)
     return x, faithful, even
 
@@ -709,13 +647,6 @@ def _perm_sign(p):
         if l % 2 == 0:
             sign = -sign
     return sign
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def norm_one_classify(spec: NormOneSpec, budget=200000) -> RationalityVerdict:
@@ -746,7 +677,7 @@ def norm_one_classify(spec: NormOneSpec, budget=200000) -> RationalityVerdict:
                                   "not stably rational (shape excluded)")
     # natural symmetric / alternating cases
     x, faithful, even = _coset_image(g, h)
-    if faithful and g.order == _factorial(n) and n >= 3:
+    if faithful and g.order == factorial(n) and n >= 3:
         steps.append(CertStep("symmetric_natural", {"degree": n}))
         if n == 3:
             return RationalityVerdict(STABLY_RATIONAL, tuple(steps))
@@ -755,7 +686,7 @@ def norm_one_classify(spec: NormOneSpec, budget=200000) -> RationalityVerdict:
                                       "not stably rational (degree > 3)")
         return RationalityVerdict(NOT_RETRACT_RATIONAL, tuple(steps),
                                   "degree not prime")
-    if faithful and even and 2 * g.order == _factorial(n) and n >= 4:
+    if faithful and even and 2 * g.order == factorial(n) and n >= 4:
         steps.append(CertStep("alternating_natural", {"degree": n}))
         if n == 5:
             res = quasi_permutation_check(

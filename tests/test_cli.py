@@ -76,7 +76,8 @@ def test_norm_one_decision_table(capsys):
 def test_census_dim2(capsys):
     code, out = run_json(capsys, "census", "--dim", "2")
     assert code == 0
-    assert out["inputs"]["roots"] == ["dade-2-1", "dade-2-2"]
+    assert out["inputs"] == {"dim": 2, "roots": ["dade-2-1", "dade-2-2"],
+                             "budget": 60000}
     res = out["results"]
     assert res["accepted"] is True
     assert res["count"] == len(res["classes"]) == 13
@@ -167,3 +168,9 @@ def test_bad_expression_is_an_input_error(capsys, expr):
     assert code == 2
     assert out["error"]
 
+
+def test_sign_of_a_subgroup_that_is_not_index_two_normal(capsys):
+    code, out = run_json(capsys, "classify", "--group", "dade-2-1",
+                         "--lattice", "sign(trivial)")
+    assert code == 2
+    assert "index" in out["error"]

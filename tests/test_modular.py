@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import pytest
 
+from glattice.catalog import entry
+from glattice.homology import flasque_resolution
 from glattice.intlinalg import BudgetExhausted, IntMat
 from glattice.groups import all_subgroups, closure, sylow
 from glattice.lattices import (
@@ -16,6 +18,7 @@ from glattice.lattices import (
     is_flasque,
     j_lattice,
     perm_lattice,
+    restrict,
     std_lattice,
     trivial_lattice,
 )
@@ -23,8 +26,10 @@ from glattice.modular import (
     ModpModule,
     ProvablyNot,
     SylowPermutationWitness,
+    _candidate_multisets,
     _direct_sum_perm_modp,
     _hom_basis_modp,
+    _orbit_count,
     is_cohomologically_trivial,
     is_invertible,
     is_permutation_modp,
@@ -170,6 +175,78 @@ def test_recognize_provably_not():
     # the 2-dim F3[C3]-module from Z[zeta_3] is indecomposable non-permutation
     with pytest.raises(ProvablyNot):
         is_permutation_modp(reduce_mod_p(std_lattice(C3_ZETA), 3))
+
+
+def test_recognize_regular_module_at_zero_budget():
+    # the budget bounds the isomorphism search, not the candidate list
+    m = reduce_mod_p(coset_lattice(C4, C4.trivial_subgroup()), 2)
+    subs, f = is_permutation_modp(m, budget=0)
+    assert [s.order for s in subs] == [1]
+
+
+def full_then_filter(columns, profile):
+    """Reference: every multiset of positions whose coset sizes (row 0,
+    the trivial subgroup) sum to the dimension, in depth-first order,
+    then only those whose orbit counts meet every fixed-point dimension."""
+    sizes = [col[0] for col in columns]
+    out = []
+
+    def rec(pos, remaining, chosen):
+        if remaining == 0:
+            out.append(tuple(chosen))
+            return
+        if pos == len(sizes):
+            return
+        if sizes[pos] <= remaining:
+            chosen.append(pos)
+            rec(pos, remaining - sizes[pos], chosen)
+            chosen.pop()
+        rec(pos + 1, remaining, chosen)
+
+    rec(0, profile[0], [])
+    return out, [ms for ms in out
+                 if all(sum(columns[q][h] for q in ms) == profile[h]
+                        for h in range(len(profile)))]
+
+
+def candidate_data(m):
+    reps = all_subgroups(m.group).representatives()
+    assert reps[0].order == 1
+    profile = [m.fixed_dim(h.members) for h in reps]
+    columns = [[_orbit_count(m.group, h, q) for h in reps] for q in reps]
+    return columns, profile
+
+
+def test_candidate_multisets_match_full_enumeration():
+    modules = [reduce_mod_p(std_lattice(C2), 2),
+               reduce_mod_p(twisted_regular_c4(), 2),
+               reduce_mod_p(std_lattice(C3_ZETA), 3),
+               reduce_mod_p(direct_sum(twisted_regular_c4(),
+                                       std_lattice(C4)), 2)]
+    modules += [reduce_mod_p(coset_lattice(WB2, q), 2)
+                for q in all_subgroups(WB2).representatives()]
+    for m in modules:
+        columns, profile = candidate_data(m)
+        _full, survivors = full_then_filter(columns, profile)
+        assert list(_candidate_multisets(columns, profile)) == survivors
+
+
+def test_dade_3_3_flasque_rules_out_every_candidate():
+    # the p = 2 step of classify(dade-3-3): F_2 of the flasque term over
+    # a Sylow 2-subgroup of order 16 has more candidate multisets of its
+    # dimension than the default budget, and none survives
+    f = flasque_resolution(entry("dade-3-3").lattice()).cert.right
+    syl = sylow(f.group, 2)
+    m = reduce_mod_p(restrict(f, syl), 2)
+    columns, profile = candidate_data(m)
+    full, survivors = full_then_filter(columns, profile)
+    assert (syl.order, m.dim) == (16, 15)
+    assert len(full) > 20000 and survivors == []
+    assert list(_candidate_multisets(columns, profile)) == []
+    with pytest.raises(ProvablyNot):
+        is_permutation_modp(m)
+    inv = is_invertible(f)
+    assert not inv and inv.obstruction["prime"] == 2
 
 
 def dense_hom_basis(m, c):

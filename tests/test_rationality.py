@@ -1,9 +1,12 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from glattice import modular
 from glattice.catalog import entry
+from glattice.homology import stably_permutation_obstruction
 from glattice.intlinalg import BudgetExhausted, IntMat
 from glattice.groups import Subgroup, all_subgroups, closure
 from glattice.lattices import (
@@ -103,6 +106,28 @@ def test_classify_coprime_aug_tensor():
     m = aug_tensor(X3, y2)
     v = classify(m)
     assert v.level == HEREDITARILY_RATIONAL
+
+
+def test_classify_and_obstruction_release_the_group():
+    # no module-level cache may keep a group alive once its caller is done
+    def obstruction_run():
+        g = symmetric(3)
+        stably_permutation_obstruction(j_lattice(
+            gset_from_permutation_matrices(g)))
+        return weakref.ref(g)
+
+    def aug_tensor_run():
+        g = symmetric(3)
+        a3 = [h for h in all_subgroups(g).representatives()
+              if h.order == 3][0]
+        m = aug_tensor(gset_from_permutation_matrices(g), coset_gset(g, a3))
+        assert classify(m).level == HEREDITARILY_RATIONAL
+        return weakref.ref(g)
+
+    for run in (obstruction_run, aug_tensor_run):
+        ref = run()
+        gc.collect()
+        assert ref() is None, run.__name__
 
 
 def test_classify_direct_sum_blocks():
