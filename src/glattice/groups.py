@@ -60,7 +60,7 @@ class FiniteMatrixGroup:
         self._charpolys = None
         self._conj_class_of = None
         self._subgroups = None
-        self._h0_table = None      # homology._h0_table
+        self._double_coset_table = None
 
     # -- basic data --------------------------------------------------------
 
@@ -485,6 +485,22 @@ def double_cosets(g: FiniteMatrixGroup, a: Subgroup, b: Subgroup):
         inter = a.members & bx
         out.append((x, Subgroup(g, inter)))
     return out
+
+
+def double_coset_table(g: FiniteMatrixGroup):
+    """table[d][h] = the orders |D n xHx^-1| over the double cosets D\\G/H,
+    for D, H running over the subgroup class representatives; cached on g.
+
+    By Mackey and Shapiro (Brown, Cohomology of Groups, GTM 87, III.5-6)
+    H^0(H, Z[G/D]) is the sum of Z/|D n xHx^-1|, and len(table[d][h]) is
+    the number of H-orbits on the cosets of D.
+    """
+    if g._double_coset_table is None:
+        reps = all_subgroups(g).representatives()
+        g._double_coset_table = tuple(
+            tuple(tuple(s.order for _x, s in double_cosets(g, d, h))
+                  for h in reps) for d in reps)
+    return g._double_coset_table
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,13 @@ coset ordering.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .intlinalg import (
-    AbelianInvariants,
     IntMat,
     cokernel_invariants,
     hnf,
@@ -33,6 +33,7 @@ from .groups import (
     Subgroup,
     _prime_factors,
     all_subgroups,
+    double_coset_table,
 )
 from .lattices import (
     EquivariantMap,
@@ -46,6 +47,7 @@ from .lattices import (
     fixed_sublattice,
     gset_isomorphism,
     hom_basis,
+    perm_lattice,
     recognize_permutation,
     tate,
     tensor,
@@ -139,31 +141,32 @@ def sequence_from_surjection(p: GLattice, m: GLattice, matrix: IntMat,
 
 def parts_lattice(group: FiniteMatrixGroup, parts, name=None) -> GLattice:
     """Direct sum of parts; a part is a Subgroup (meaning Z[G/H]) or a
-    GLattice."""
-    lats = [coset_lattice(group, p) if isinstance(p, Subgroup) else p
-            for p in parts]
-    if not lats:
-        return GLattice(group, [IntMat.zeros(0, 0)] * group.order,
-                        name=name, check=False)
-    out = lats[0]
-    for l in lats[1:]:
-        out = direct_sum(out, l)
+    GLattice.  A run of Subgroup parts is one permutation lattice on the
+    disjoint union of their coset spaces."""
+    lats = []
+    for cosets, run in itertools.groupby(
+            parts, key=lambda p: isinstance(p, Subgroup)):
+        lats.extend([perm_lattice(coset_gset_sum(group, run))] if cosets
+                    else run)
+    out = functools.reduce(direct_sum, lats) if lats else \
+        perm_lattice(coset_gset_sum(group, ()))
     if name is not None and out is not parts[0]:
         out.name = name
     return out
 
 
-def _hom_coset_to_lat(group, h: Subgroup, n: GLattice):
-    """Basis of Hom_G(Z[G/H], N): one map per basis vector of N^H,
-    coset H t_j -> u * act(t_j)."""
-    reps, _ = coset_transversal(group, h)
-    fix = fixed_sublattice(n, h)
-    out = []
-    for u in fix.data:
-        urow = IntMat([list(u)])
-        rows = [list((urow * n.act(t)).data[0]) for t in reps]
-        out.append(IntMat(rows) if rows else IntMat.zeros(0, n.rank))
-    return out
+def _coset_images(m: GLattice, k: Subgroup, u):
+    """Rows of the map Z[G/K] -> M sending the coset Kt to u * act(t), for
+    a K-fixed row u; cosets in coset_transversal order."""
+    reps, _ = coset_transversal(m.group, k)
+    urow = IntMat([list(u)])
+    return [list((urow * m.act(t)).data[0]) for t in reps]
+
+
+def _hom_coset_to_lat(h: Subgroup, n: GLattice):
+    """Basis of Hom_G(Z[G/H], N): one map per basis vector of N^H."""
+    return [IntMat(_coset_images(n, h, u))
+            for u in fixed_sublattice(n, h).data]
 
 
 def _hom_lat_to_coset(group, m: GLattice, k: Subgroup):
@@ -204,7 +207,7 @@ def hom_basis_parts(group, parts1, parts2):
     for i, (p1, l1) in enumerate(zip(parts1, lats1)):
         for j, (p2, l2) in enumerate(zip(parts2, lats2)):
             if isinstance(p1, Subgroup):
-                block_basis = _hom_coset_to_lat(group, p1, l2)
+                block_basis = _hom_coset_to_lat(p1, l2)
             elif isinstance(p2, Subgroup):
                 block_basis = _hom_lat_to_coset(group, l1, p2)
             else:
@@ -282,23 +285,16 @@ def solve_in_hom(hom_mats, products, rhs):
 def _fixed_image_rows(m: GLattice, k: Subgroup, u, h: Subgroup):
     """Images in M of an H-fixed basis of the summand Z[G/K] mapping
     coset Kt -> u * act(t): one row per H-orbit of cosets, the orbit sum."""
-    group = m.group
-    gs = coset_gset(group, k)
-    reps, _ = coset_transversal(group, k)
-    urow = IntMat([list(u)])
-    seen = [False] * gs.points
+    images = _coset_images(m, k, u)
+    perms = coset_gset(m.group, k).perms
+    seen = set()
     rows = []
-    for i in range(gs.points):
-        if seen[i]:
+    for i in range(len(images)):
+        if i in seen:
             continue
-        orbit = sorted({gs.perms[g][i] for g in h.members})
-        for j in orbit:
-            seen[j] = True
-        total = None
-        for j in orbit:
-            term = urow * m.act(reps[j])
-            total = term if total is None else total + term
-        rows.append(list(total.data[0]))
+        orbit = {perms[g][i] for g in h.members}
+        seen |= orbit
+        rows.append([sum(col) for col in zip(*(images[j] for j in orbit))])
     return rows
 
 
@@ -338,12 +334,7 @@ def coflasque_resolution(m: GLattice) -> ExactSequenceCert:
             image_rows.extend(_fixed_image_rows(m, h, u, h))
     parts = tuple(h for h, _ in chosen)
     p = parts_lattice(group, parts)
-    pi_rows = []
-    for h, u in chosen:
-        t_reps, _ = coset_transversal(group, h)
-        urow = IntMat([list(u)])
-        for t in t_reps:
-            pi_rows.append(list((urow * m.act(t)).data[0]))
+    pi_rows = [row for h, u in chosen for row in _coset_images(m, h, u)]
     return sequence_from_surjection(p, m, IntMat(pi_rows), mid_parts=parts)
 
 
@@ -364,9 +355,15 @@ def flasque_resolution(m: GLattice) -> FlasqueResolution:
     cert = ExactSequenceCert(m, pdual, f_lat, inj, surj,
                              mid_parts=cof.mid_parts)
     assert verify_exact(cert)
+    return _flasque_tested(cert)
+
+
+def _flasque_tested(cert: ExactSequenceCert) -> FlasqueResolution:
+    """The resolution with the flasque test of its right term: H^-1 is
+    asserted trivial at every subgroup class representative."""
     checks = []
-    for h in all_subgroups(m.group).representatives():
-        inv = tate(f_lat, h, -1)
+    for h in all_subgroups(cert.right.group).representatives():
+        inv = tate(cert.right, h, -1)
         assert inv.is_trivial(), "flasque term fails the flasque test"
         checks.append((h.order, inv))
     return FlasqueResolution(cert, tuple(checks))
@@ -539,19 +536,9 @@ def _prime_powers(n):
     return sorted(out)
 
 
-def _multiplicity(inv: AbelianInvariants, q):
-    return sum(1 for f in inv.factors if f % q == 0)
-
-
-def _h0_table(group):
-    """tate(Z[G/H_d], H, 0) for all pairs of subgroup class reps, cached
-    on the group."""
-    if group._h0_table is None:
-        reps = all_subgroups(group).representatives()
-        lats = [coset_lattice(group, d) for d in reps]
-        table = [[tate(l, h, 0) for h in reps] for l in lats]
-        group._h0_table = (reps, lats, table)
-    return group._h0_table
+def _multiplicity(orders, q):
+    """Cyclic factors of order divisible by the prime power q."""
+    return sum(1 for f in orders if f % q == 0)
 
 
 @dataclass
@@ -575,7 +562,8 @@ class ObstructionWitness:
 
 def _h0_system(f: GLattice):
     group = f.group
-    reps, _lats, table = _h0_table(group)
+    reps = all_subgroups(group).representatives()
+    table = double_coset_table(group)
     pps = _prime_powers(group.order)
     cols = []
     rhs = []
@@ -585,7 +573,7 @@ def _h0_system(f: GLattice):
         for q in pps:
             cols.append([_multiplicity(table[d][hi], q)
                          for d in range(len(reps))])
-            rhs.append(_multiplicity(fh0, q))
+            rhs.append(_multiplicity(fh0.factors, q))
             labels.append((hi, q))
     mat = IntMat([[col[d] for col in cols] for d in range(len(reps))])
     return reps, mat, tuple(rhs), tuple(labels)
@@ -643,16 +631,16 @@ def _extended_system(f: GLattice):
     """Character equations (one per element conjugacy class) stacked with
     the H^0 multiplicity system."""
     group = f.group
-    reps, lats, _table = _h0_table(group)
-    _reps, mat, rhs, labels = _h0_system(f)
+    reps, mat, rhs, _labels = _h0_system(f)
     class_reps = sorted(set(group.conj_class_of))
-    chars = [l.character() for l in lats]
     fchar = f.character()
-    char_cols = [[chars[d][c] for d in range(len(reps))] for c in class_reps]
-    char_rhs = [fchar[c] for c in class_reps]
-    full = IntMat([[char_cols[e][d] for e in range(len(char_cols))] +
-                   list(mat.data[d]) for d in range(len(reps))])
-    return reps, full, tuple(char_rhs) + rhs
+    # the character of Z[G/D] counts the cosets of D an element fixes
+    rows = []
+    for d, h0_row in zip(reps, mat.data):
+        perms = coset_gset(group, d).perms
+        rows.append([sum(i == j for i, j in enumerate(perms[c]))
+                     for c in class_reps] + list(h0_row))
+    return reps, IntMat(rows), tuple(fchar[c] for c in class_reps) + rhs
 
 
 def stably_permutation_paddings(f: GLattice, max_rank=None, max_candidates=200):

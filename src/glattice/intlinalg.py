@@ -29,7 +29,10 @@ class BudgetExhausted(Exception):
 
 
 class IntMat:
-    """Immutable dense matrix over Z (row-major tuple of tuples of int)."""
+    """Immutable dense matrix over Z (row-major tuple of tuples of int).
+
+    A matrix with no rows has no row to read its column count from, so
+    IntMat.zeros(0, n) sets it; the operations below keep it."""
 
     __slots__ = ("rows", "cols", "data", "_hash")
 
@@ -51,7 +54,9 @@ class IntMat:
 
     @staticmethod
     def zeros(m, n):
-        return IntMat([[0] * n for _ in range(m)])
+        out = IntMat([[0] * n for _ in range(m)])
+        out.cols = n
+        return out
 
     @staticmethod
     def from_flat(m, n, entries):
@@ -68,7 +73,8 @@ class IntMat:
     # -- basics ------------------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, IntMat) and self.data == other.data
+        return (isinstance(other, IntMat) and self.cols == other.cols
+                and self.data == other.data)
 
     def __hash__(self):
         if self._hash is None:
@@ -96,7 +102,9 @@ class IntMat:
         return all(x == 0 for row in self.data for x in row)
 
     def transpose(self):
-        return IntMat(list(zip(*self.data))) if self.rows else IntMat.zeros(self.cols, 0)
+        if not (self.rows and self.cols):
+            return IntMat.zeros(self.cols, self.rows)
+        return IntMat(list(zip(*self.data)))
 
     def __neg__(self):
         return IntMat([[-x for x in row] for row in self.data])
@@ -118,10 +126,9 @@ class IntMat:
         """Matrix product (also accepts an int scalar)."""
         if isinstance(other, int):
             return self.scale(other)
-        if self.rows == 0:
-            # a 0 x n matrix is stored with no rows (so cols reads as 0)
-            return IntMat.zeros(0, other.cols)
         assert self.cols == other.rows, (self.shape, other.shape)
+        if not (self.rows and self.cols):
+            return IntMat.zeros(self.rows, other.cols)
         bt = list(zip(*other.data))
         return IntMat([[sum(a * b for a, b in zip(row, col)) for col in bt]
                        for row in self.data])
@@ -150,14 +157,21 @@ class IntMat:
 
     def hstack(self, other):
         assert self.rows == other.rows
+        if not self.rows:
+            return IntMat.zeros(0, self.cols + other.cols)
         return IntMat([r + s for r, s in zip(self.data, other.data)])
 
     def block_diag(self, other):
         """The block-diagonal matrix with blocks self and other."""
+        if not (self.rows or other.rows):
+            return IntMat.zeros(0, self.cols + other.cols)
         return IntMat([list(r) + [0] * other.cols for r in self.data]
                       + [[0] * self.cols + list(r) for r in other.data])
 
     def submatrix(self, rows, cols):
+        cols = list(cols)
+        if not rows:
+            return IntMat.zeros(0, len(cols))
         return IntMat([[self.data[i][j] for j in cols] for i in rows])
 
     def kron(self, other):

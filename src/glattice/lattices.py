@@ -135,7 +135,10 @@ class GSet:
     perms: tuple  # tuple (per element) of tuples of point images
 
     def __post_init__(self):
+        # the identity at element 0 and the homomorphism property on
+        # generators make every perms[g] a permutation, perms a homomorphism
         assert len(self.perms) == self.group.order
+        assert self.perms[0] == tuple(range(self.points))
         t = self.group.table
         for s in self.group.generator_indices:
             for x in range(self.group.order):
@@ -231,12 +234,14 @@ def coset_gset_sum(g: FiniteMatrixGroup, subgroups) -> GSet:
 
 
 def perm_lattice(x: GSet, name=None) -> GLattice:
+    """Z[X] with the permutation matrices of the G-set x.  GSet has
+    checked the action, so the matrices are not checked again."""
     n = x.points
     action = []
     for p in x.perms:
         action.append(IntMat([[1 if p[i] == j else 0 for j in range(n)]
                               for i in range(n)]))
-    return GLattice(x.group, action, name=name)
+    return GLattice(x.group, action, name=name, check=False)
 
 
 def coset_lattice(g: FiniteMatrixGroup, h: Subgroup, name=None) -> GLattice:
@@ -348,16 +353,19 @@ def sign_lattice(g: FiniteMatrixGroup, n: Subgroup, name=None) -> GLattice:
 
 
 def dual(m: GLattice, name=None) -> GLattice:
-    """Dual lattice; action matrices are inverse-transposes."""
+    """Dual lattice; action matrices are inverse-transposes (an action
+    because m's is, so not checked again)."""
     inv = m.group.inv
     action = [m.act(inv[i]).transpose() for i in range(m.group.order)]
-    return GLattice(m.group, action, name=name or (m.name and "dual(%s)" % m.name))
+    return GLattice(m.group, action, check=False,
+                    name=name or (m.name and "dual(%s)" % m.name))
 
 
 def direct_sum(m: GLattice, n: GLattice, name=None) -> GLattice:
+    """Block-diagonal action (an action because m's and n's are)."""
     assert m.group is n.group
     action = [a.block_diag(b) for a, b in zip(m.action, n.action)]
-    return GLattice(m.group, action, name=name)
+    return GLattice(m.group, action, name=name, check=False)
 
 
 def tensor(m: GLattice, n: GLattice, name=None) -> GLattice:
@@ -411,8 +419,7 @@ def quotient_group(g: FiniteMatrixGroup, n: Subgroup):
     assert n.is_normal() or all(
         g.conjugate_set(n.members, x) == n.members for x in range(g.order))
     x = coset_gset(g, n)
-    mats = [IntMat([[1 if p[i] == j else 0 for j in range(x.points)]
-                    for i in range(x.points)]) for p in x.perms]
+    mats = perm_lattice(x).action
     seen = {}
     elems = []
     proj = []

@@ -33,7 +33,7 @@ from .groups import (
     Subgroup,
     _prime_factors,
     all_subgroups,
-    double_cosets,
+    double_coset_table,
     sylow,
 )
 from .lattices import (
@@ -41,6 +41,7 @@ from .lattices import (
     coset_gset_sum,
     coset_transversal,
     fixed_sublattice,
+    perm_lattice,
     restrict,
     tate,
 )
@@ -225,11 +226,6 @@ def is_projective_modp(m: ModpModule) -> bool:
 # permutation-module recognition over p-groups
 # ---------------------------------------------------------------------------
 
-def _orbit_count(group, h: Subgroup, q: Subgroup) -> int:
-    """Number of h-orbits on the coset space of q (= |h\\G/q|)."""
-    return len(double_cosets(group, h, q))
-
-
 def _candidate_multisets(columns, profile):
     """Every multiset of subgroup-class positions whose orbit counts meet
     the fixed-point dimensions: columns[q][h] is the number of orbits of
@@ -303,9 +299,9 @@ def is_permutation_modp(m: ModpModule, budget=20000):
         return ([], [])
     reps = all_subgroups(group).representatives()
     # invariant data: fixed dims of m under every class rep, and the orbit
-    # counts of each rep on each coset space
+    # counts |Q\G/H| of each rep H on each coset space of Q
     profile = [m.fixed_dim(h.members) for h in reps]
-    columns = [[_orbit_count(group, h, q) for h in reps] for q in reps]
+    columns = [[len(dcs) for dcs in row] for row in double_coset_table(group)]
     rng = random.Random(0)
     spent = 0
     survivors = 0
@@ -366,11 +362,7 @@ def _intertwines(m: ModpModule, c: ModpModule, f) -> bool:
 
 def _direct_sum_perm_modp(group, subs, p) -> ModpModule:
     """The permutation module of the cosets of subs, over F_p."""
-    x = coset_gset_sum(group, subs)
-    n = x.points
-    action = tuple(tuple(tuple(1 if perm[i] == j else 0 for j in range(n))
-                         for i in range(n)) for perm in x.perms)
-    return ModpModule(p, group, n, action)
+    return reduce_mod_p(perm_lattice(coset_gset_sum(group, subs)), p)
 
 
 # ---------------------------------------------------------------------------

@@ -721,7 +721,7 @@ def _a5_flasque_resolution(g, x):
     the natural degree-5 alternating action; the middle is identified
     with the coset lattice on ordered pairs via the basis vectors
     (image of e_i) (x) e_j for ordered pairs (i, j)."""
-    from .homology import ExactSequenceCert, verify_exact
+    from .homology import ExactSequenceCert, _flasque_tested, verify_exact
     from .lattices import EquivariantMap
     j = j_lattice(x)
     zx = perm_lattice(x)
@@ -758,11 +758,4 @@ def _a5_flasque_resolution(g, x):
     cert = ExactSequenceCert(left, pair_lat, jj_lat, inj, surj,
                              mid_parts=(stab,))
     assert verify_exact(cert)
-    from .homology import FlasqueResolution
-    from .lattices import tate
-    checks = []
-    for sub in all_subgroups(g).representatives():
-        inv = tate(jj_lat, sub, -1)
-        assert inv.is_trivial()
-        checks.append((sub.order, inv))
-    return FlasqueResolution(cert, tuple(checks))
+    return _flasque_tested(cert)

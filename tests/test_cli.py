@@ -3,6 +3,7 @@ from importlib import resources
 
 import pytest
 
+from glattice import catalog
 from glattice.cli import EXPR_HEADS, run
 
 
@@ -44,6 +45,46 @@ def test_flasque_reports_checks(capsys):
     # flasque: H^-1 vanishes on every subgroup class
     assert res["flasque_checks"]
     assert all(inv == [] for _order, inv in res["flasque_checks"])
+
+
+@pytest.mark.parametrize("expr", ["Z", "perm(full)"])
+def test_flasque_of_rank_zero(capsys, expr):
+    # P = Z[G/G] = M, so the flasque term is 0
+    code, out = run_json(capsys, "flasque", "--group", "dade-2-1",
+                         "--lattice", expr)
+    assert code == 0
+    res = out["results"]
+    assert (res["left_rank"], res["mid_rank"], res["flasque_rank"]) == \
+        (1, 1, 0)
+
+
+@pytest.mark.parametrize("expr, subgroup, invariants", [
+    ("named(rho,2)", None, [3]),
+    ("res(gens:[b],std)", None, [2]),
+    ("res(gens:[b],std)", "full", [2]),
+    ("res(gens:[b],std)", "trivial", []),
+])
+def test_cohomology_over_the_lattice_group(capsys, expr, subgroup,
+                                           invariants):
+    # the lattice lives over another group than --group; the subgroup is
+    # one of the lattice's group
+    argv = ["cohomology", "--group", "dade-2-1", "--lattice", expr,
+            "--degree", "-1"]
+    code, out = run_json(capsys, *argv,
+                         *(["--subgroup", subgroup] if subgroup else []))
+    assert code == 0
+    assert out["results"]["invariants"] == invariants
+
+
+@pytest.mark.parametrize("subgroup", ["gens:[c]", "dade-2-1"])
+def test_cohomology_subgroup_outside_the_lattice_group(capsys, subgroup):
+    # the restricted group has no third generator, and dade-2-1 is not
+    # inside it
+    code, out = run_json(capsys, "cohomology", "--group", "dade-2-1",
+                         "--lattice", "res(gens:[b],std)", "--degree", "0",
+                         "--subgroup", subgroup)
+    assert code == 2
+    assert out["error"]
 
 
 def test_classify_reports_the_verdict(capsys):
@@ -95,6 +136,21 @@ def test_verify_paper_census2(capsys):
     assert code == 0
     assert out["results"] == {"census-2": {"ok": True,
                                            "values": {"count": 13}}}
+
+
+def test_verify_paper_retract_seven_reverifies(capsys, monkeypatch):
+    # the full case takes about half a minute; one retract-only entry and
+    # one hereditarily rational entry exercise the per-entry record
+    monkeypatch.setattr(catalog, "RETRACT_ONLY_NAMES",
+                        ("z-4-33-2-1", "dade-2-1"))
+    code, out = run_json(capsys, "verify-paper", "--case", "retract-seven")
+    assert code == 1
+    res = out["results"]["retract-seven"]
+    assert res["ok"] is False
+    good, bad = res["values"]["z-4-33-2-1"], res["values"]["dade-2-1"]
+    assert (good["level"], good["verified"]) == ("RetractRational", True)
+    assert (bad["level"], bad["verified"]) == ("HereditarilyRational", False)
+    assert good["timing"] >= 0 and bad["timing"] >= 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from glattice.catalog import entry
 from glattice.intlinalg import IntMat
-from glattice.groups import all_subgroups, closure
+from glattice.groups import all_subgroups, closure, double_coset_table
 from glattice.homology import (
     DegreesNotCoprime,
     SectionInvalid,
@@ -20,12 +21,14 @@ from glattice.homology import (
     stably_permutation_obstruction,
     verify_exact,
 )
+from glattice.homology import _extended_system, _multiplicity, _prime_powers
 from glattice.lattices import (
     EquivariantMap,
     GLattice,
     aug_ideal,
     coset_gset,
     coset_lattice,
+    direct_sum,
     dual,
     gset_from_permutation_matrices,
     hom_basis,
@@ -33,6 +36,8 @@ from glattice.lattices import (
     is_flasque,
     j_lattice,
     perm_lattice,
+    std_lattice,
+    tate,
     tensor,
     trivial_lattice,
 )
@@ -259,6 +264,27 @@ def test_hom_basis_parts_matches_generic():
                 assert map_.check()
 
 
+def test_parts_lattice_matches_direct_sum_of_coset_lattices():
+    rng = random.Random(7)
+    groups = (S3, C4, V4, entry("dade-2-1").group())
+    for _ in range(50):
+        g = rng.choice(groups)
+        reps = all_subgroups(g).representatives()
+        parts = [rng.choice(reps) for _ in range(rng.randint(1, 4))]
+        want = coset_lattice(g, parts[0])
+        for h in parts[1:]:
+            want = direct_sum(want, coset_lattice(g, h))
+        assert parts_lattice(g, parts).action == want.action
+    # a lattice part between two runs of cosets keeps its place
+    c2 = [h for h in all_subgroups(S3).representatives() if h.order == 2][0]
+    got = parts_lattice(S3, (c2, c2, J3, S3.trivial_subgroup()))
+    want = direct_sum(direct_sum(direct_sum(coset_lattice(S3, c2),
+                                            coset_lattice(S3, c2)), J3),
+                      coset_lattice(S3, S3.trivial_subgroup()))
+    assert got.action == want.action
+    assert parts_lattice(S3, ()).rank == 0
+
+
 def test_find_isomorphism_parts_swapped_sum():
     subs = all_subgroups(S3).representatives()
     c2 = [h for h in subs if h.order == 2][0]
@@ -312,3 +338,31 @@ def test_obstruction_witness_rejects_tampering():
 def test_quasi_permutation_rank_zero():
     zero = GLattice(S3, [IntMat.zeros(0, 0)] * S3.order, check=False)
     assert quasi_permutation_check(zero).verdict == "yes"
+
+
+# ---------------------------------------------------------------------------
+# the H^0 table from double cosets, against the dense computation
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("g", [S3, entry("dade-2-1").group(),
+                               entry("z-4-33-2-1").group()],
+                         ids=["S3", "dade-2-1", "z-4-33-2-1"])
+def test_double_coset_table_matches_dense_tate(g):
+    reps = all_subgroups(g).representatives()
+    table = double_coset_table(g)
+    pps = _prime_powers(g.order)
+    class_reps = sorted(set(g.conj_class_of))
+    dense_rows = []
+    for d, row in zip(reps, table):
+        lat = coset_lattice(g, d)
+        h0 = []
+        for h, orders in zip(reps, row):
+            inv = tate(lat, h, 0)
+            for q in pps:
+                assert _multiplicity(orders, q) == _multiplicity(inv.factors, q)
+                h0.append(_multiplicity(inv.factors, q))
+        chars = lat.character()
+        dense_rows.append([chars[c] for c in class_reps] + h0)
+    # the character and H^0 system of _extended_system, rebuilt densely
+    _reps, mat, _rhs = _extended_system(std_lattice(g))
+    assert [list(r) for r in mat.data] == dense_rows

@@ -110,6 +110,19 @@ def random_unimodular(rng, n, steps=12):
 # frozen examples
 # ---------------------------------------------------------------------------
 
+def test_matrices_without_rows_or_columns_keep_their_shape():
+    z = IntMat.zeros(0, 3)
+    assert z.shape == (0, 3) and z != IntMat.zeros(0, 0)
+    assert z.transpose().shape == (3, 0)
+    assert z.transpose().transpose() == z
+    assert (z.transpose() * z).shape == (3, 3)
+    assert (z.transpose() * z).is_zero()
+    assert (z * IntMat.identity(3)).shape == (0, 3)
+    assert z.hstack(IntMat.zeros(0, 2)).shape == (0, 5)
+    assert z.block_diag(IntMat.zeros(0, 1)).shape == (0, 4)
+    assert IntMat.identity(3).submatrix([], range(2)).shape == (0, 2)
+
+
 def test_snf_identity():
     assert snf(IntMat.identity(3)).d == (1, 1, 1)
 

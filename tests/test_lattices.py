@@ -8,6 +8,7 @@ from glattice.groups import ProvablyDistinct, all_subgroups, closure, double_cos
 from glattice.lattices import (
     EquivariantMap,
     GLattice,
+    GSet,
     NotIndexTwoNormal,
     aug_ideal,
     coset_gset,
@@ -138,6 +139,20 @@ def test_coset_gset_partitions():
         x = coset_gset(WB2, h)
         assert x.points == WB2.order // h.order
         assert x.stabilizer(0).members == h.members
+
+
+def test_gset_rejects_a_non_action():
+    x = gset_from_permutation_matrices(S3)
+    # constant maps compose with each other, but element 0 must be the
+    # identity
+    with pytest.raises(AssertionError):
+        GSet(S3, 3, ((0, 0, 0),) * S3.order)
+    # permutations that do not compose as the group multiplies
+    a, b = [i for i in range(1, S3.order) if x.perms[i] != x.perms[0]][:2]
+    swapped = list(x.perms)
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    with pytest.raises(AssertionError):
+        GSet(S3, 3, tuple(swapped))
 
 
 def test_sign_lattice():

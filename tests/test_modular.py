@@ -5,7 +5,7 @@ import pytest
 from glattice.catalog import entry
 from glattice.homology import flasque_resolution
 from glattice.intlinalg import BudgetExhausted, IntMat
-from glattice.groups import all_subgroups, closure, sylow
+from glattice.groups import all_subgroups, closure, double_coset_table, sylow
 from glattice.lattices import (
     GLattice,
     aug_ideal,
@@ -29,7 +29,6 @@ from glattice.modular import (
     _candidate_multisets,
     _direct_sum_perm_modp,
     _hom_basis_modp,
-    _orbit_count,
     is_cohomologically_trivial,
     is_invertible,
     is_permutation_modp,
@@ -213,7 +212,7 @@ def candidate_data(m):
     reps = all_subgroups(m.group).representatives()
     assert reps[0].order == 1
     profile = [m.fixed_dim(h.members) for h in reps]
-    columns = [[_orbit_count(m.group, h, q) for h in reps] for q in reps]
+    columns = [[len(dcs) for dcs in row] for row in double_coset_table(m.group)]
     return columns, profile
 
 

@@ -192,7 +192,8 @@ def test_classify_biquadratic_not_retract():
     assert "stably_permutation_obstruction" in kinds
 
 
-@pytest.mark.parametrize("name", ["z-4-33-2-1", "z-4-31-1-4", "z-4-31-1-3"])
+@pytest.mark.parametrize("name", ["z-4-33-2-1", "z-4-31-1-4", "z-4-31-1-3",
+                                  "z-4-31-4-2", "z-4-31-5-2"])
 def test_classify_retract_rational_dim4(name):
     e = entry(name)
     v = classify(e.lattice())
