@@ -30,7 +30,13 @@ from .groups import (
     glz_conjugate,
 )
 from .intlinalg import BudgetExhausted, IntMat, solve_left
-from .lattices import GLattice, hom_basis, std_lattice, tate_profile
+from .lattices import (
+    GLattice,
+    hom_basis,
+    rho_matrix,
+    std_lattice,
+    tate_profile,
+)
 
 
 class UnknownBuilder(Exception):
@@ -77,23 +83,6 @@ def perm_from_cycles(n, cycles):
     return tuple(img)
 
 
-def rho_matrix(perm):
-    """Action of a permutation of n+1 points on Z[X]/(sum), basis x1..xn.
-
-    Rows carry images: x_i maps to x_{perm(i)}, or to -(x_1+..+x_n) when
-    perm sends i to the dropped last point.
-    """
-    n = len(perm) - 1
-    rows = []
-    for i in range(n):
-        j = perm[i]
-        if j == n:
-            rows.append([-1] * n)
-        else:
-            rows.append([1 if k == j else 0 for k in range(n)])
-    return IntMat(rows)
-
-
 def rho_dual_matrix(perm):
     return rho_matrix(perm).inverse_unimodular().transpose()
 
@@ -128,7 +117,10 @@ def _sym_gens(n):
 
 
 def named_lattice(builder, n):
-    """Build one of the stock lattices together with its matrix group."""
+    """Build one of the stock lattices together with its matrix group;
+    n >= 1 is the rank (the order of the cyclotomic companion)."""
+    if n < 1:
+        raise ValueError("named lattice size must be at least 1, got %d" % n)
     if builder in ("rho", "weight_A"):
         gens = [rho_matrix(p) for p in _sym_gens(n)]
         name = "J(X%d)" % (n + 1)

@@ -46,7 +46,11 @@ from .lattices import (
     tensor,
     trivial_lattice,
 )
-from .homology import flasque_resolution, verify_exact
+from .homology import (
+    flasque_resolution,
+    stably_permutation_obstruction,
+    verify_exact,
+)
 from .rationality import (
     UNKNOWN,
     NormOneSpec,
@@ -334,8 +338,7 @@ DIM_ROOTS = {2: _catalog.DIM2_ROOTS, 3: _catalog.DIM3_ROOTS,
 
 
 def cmd_census(args, rep):
-    roots = tuple(args.roots.split(",")) if args.roots \
-        else DIM_ROOTS[args.dim]
+    roots = DIM_ROOTS[args.dim] if args.dim else tuple(args.roots.split(","))
     rep.report["inputs"] = {"dim": args.dim, "roots": list(roots),
                             "budget": args.budget}
     try:
@@ -389,7 +392,6 @@ def _case_census3(rep):
 
 
 def _case_4_33_2_1(rep):
-    from .homology import stably_permutation_obstruction
     e = entry("z-4-33-2-1")
     g = e.group()
     lat = e.lattice()
@@ -516,8 +518,9 @@ def _build_parser():
     np.set_defaults(fn=cmd_norm_one)
 
     sp = subs.add_parser("census", help="Z-class census")
-    sp.add_argument("--dim", type=int, choices=(2, 3, 4))
-    sp.add_argument("--roots")
+    which = sp.add_mutually_exclusive_group(required=True)
+    which.add_argument("--dim", type=int, choices=(2, 3, 4))
+    which.add_argument("--roots")
     sp.add_argument("--budget", type=int, default=60000)
     sp.set_defaults(fn=cmd_census)
 

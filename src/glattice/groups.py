@@ -19,7 +19,7 @@ import numpy as np
 from .intlinalg import (
     BudgetExhausted,
     IntMat,
-    kernel_basis,
+    intertwiner_basis,
     unimodular_in_lattice,
 )
 
@@ -657,28 +657,6 @@ def _class_size_map(g):
     return {i: sizes[cls[i]] for i in range(g.order)}
 
 
-def intertwiner_lattice(g1, g2, gens, images):
-    """Basis of {X : X * rho1(s) = rho2(f(s)) * X for the given generators}."""
-    r = g1.rank
-    cols = []
-    for s, b in zip(gens, images):
-        a_mat = g1.elements[s]
-        b_mat = g2.elements[b]
-        # unknown X (r x r, row-major); equation X*A - B*X = 0
-        for i in range(r):
-            for k in range(r):
-                col = [0] * (r * r)
-                for j in range(r):
-                    col[i * r + j] += a_mat.data[j][k]
-                    col[j * r + k] -= b_mat.data[i][j]
-                cols.append(col)
-    if not cols:
-        return [IntMat.identity(r)]
-    constraint = IntMat([[col[e] for col in cols] for e in range(r * r)])
-    kern = kernel_basis(constraint)
-    return [IntMat.from_flat(r, r, row) for row in kern.data]
-
-
 def glz_conjugate(g1: FiniteMatrixGroup, g2: FiniteMatrixGroup,
                   budget=20000, iso_limit=2000):
     """Search for X in GL_r(Z) with X g1 X^-1 = g2 (as matrix sets).
@@ -705,8 +683,9 @@ def glz_conjugate(g1: FiniteMatrixGroup, g2: FiniteMatrixGroup,
     for f in iter_isomorphisms(g1, g2, match_charpoly=True, limit=iso_limit):
         found_iso = True
         iso_count += 1
-        images = [f[s] for s in gens]
-        basis = intertwiner_lattice(g1, g2, gens, images)
+        # X rho1(s) X^-1 = rho2(f(s)), i.e. rho2(f(s)) X = X rho1(s)
+        basis = intertwiner_basis([(g2.elements[f[s]], g1.elements[s])
+                                   for s in gens], g1.rank, g1.rank)
         basis = [b for b in basis if not b.is_zero()]
         # cheap mod-p obstruction first: if the determinant form vanishes
         # identically mod some small prime, this isomorphism can never

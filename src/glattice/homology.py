@@ -44,11 +44,13 @@ from .lattices import (
     coset_transversal,
     direct_sum,
     dual,
+    find_isomorphism,
     fixed_sublattice,
     gset_isomorphism,
     hom_basis,
     perm_lattice,
     recognize_permutation,
+    sub_lattice_from_rows,
     tate,
     tensor,
 )
@@ -106,21 +108,6 @@ def verify_exact(cert: ExactSequenceCert, explain=False):
     if im_rows != ker_rows:
         return fail("image of injection is not the (saturated) kernel")
     return (True, "ok") if explain else True
-
-
-def sub_lattice_from_rows(p: GLattice, rows: IntMat, name=None):
-    """(sub lattice, inclusion map) for an action-stable saturated row space."""
-    if rows.rows == 0:
-        z = GLattice(p.group, [IntMat.zeros(0, 0)] * p.group.order,
-                     name=name, check=False)
-        return z, EquivariantMap(z, p, IntMat.zeros(0, p.rank))
-    action = []
-    for g in range(p.group.order):
-        a = solve_left(rows, rows * p.act(g))
-        assert a is not None, "row space is not action-stable/saturated"
-        action.append(a)
-    sub = GLattice(p.group, action, name=name)
-    return sub, EquivariantMap(sub, p, rows)
 
 
 def sequence_from_surjection(p: GLattice, m: GLattice, matrix: IntMat,
@@ -478,7 +465,6 @@ def pullback_split(bottom: ExactSequenceCert, rightcol: ExactSequenceCert,
     group = bottom.mid.group
     pr = rightcol.surj.matrix
     if rightcol.right != bottom.right:
-        from .lattices import find_isomorphism
         al = find_isomorphism(rightcol.right, bottom.right, budget=budget)
         pr = pr * al.matrix
     a, b, c = bottom.left, bottom.mid, bottom.right

@@ -323,6 +323,29 @@ def kernel_basis(a: IntMat) -> IntMat:
     return IntMat(f.u.data[rank:]) if rank < a.rows else IntMat.zeros(0, a.rows)
 
 
+def intertwiner_basis(pairs, rows, cols):
+    """Z-basis (as rows x cols IntMats) of {X : L X = X R} for every
+    (L, R) in pairs; every rows x cols matrix when pairs is empty.  The
+    constraints follow pairs, then the entries (i, k) of L X - X R in
+    row-major order."""
+    n = rows * cols
+    cons = []
+    for left, right in pairs:
+        for i in range(rows):
+            for k in range(cols):
+                col = [0] * n
+                for j in range(rows):
+                    col[j * cols + k] += left.data[i][j]
+                for j in range(cols):
+                    col[i * cols + j] -= right.data[j][k]
+                cons.append(col)
+    if not cons:
+        kern = IntMat.identity(n)
+    else:
+        kern = kernel_basis(IntMat([[c[e] for c in cons] for e in range(n)]))
+    return [IntMat.from_flat(rows, cols, row) for row in kern.data]
+
+
 def solve_left(a: IntMat, b: IntMat):
     """Solve x * a = b over Z; returns x (b.rows x a.rows) or None."""
     f = hnf(a)

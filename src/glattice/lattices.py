@@ -6,9 +6,11 @@ vector v as v * act(g), and act(ab) = act(a) * act(b).  Constructors cover
 the standard lattice of a matrix group, permutation lattices Z[X],
 augmentation ideals I_X, the quotients J_X = Z[X]/Z(sum), rank-one sign
 lattices, duals, direct sums, tensor products, restriction, induction and
-inflation.  On top of these: fixed sublattices, norm maps, Tate cohomology
-in degrees -1, 0, 1, flasque/coflasque predicates, Hom-lattices,
-isomorphism search and (sign-)permutation-basis recognition.
+inflation, and the sublattice on a stable row space.  On top of these:
+fixed sublattices, norm maps, Tate cohomology in degrees -1, 0, 1,
+flasque/coflasque predicates, Hom-lattices, isomorphism search and the
+short-vector orbit search behind (sign-)permutation-basis and
+augmentation-ideal recognition.
 
 Tate orientation.  Here H^0(H, M) = M^H / N_H(M) and
 H^-1(H, M) = ker(N_H) / I_H(M), with degree +1 computed through duality
@@ -22,6 +24,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .intlinalg import (
     AbelianInvariants,
     BudgetExhausted,
@@ -29,11 +33,18 @@ from .intlinalg import (
     TRIVIAL_GROUP,
     cokernel_invariants,
     hnf,
+    intertwiner_basis,
     kernel_basis,
     solve_left,
     unimodular_in_lattice,
 )
-from .groups import FiniteMatrixGroup, ProvablyDistinct, Subgroup, all_subgroups
+from .groups import (
+    FiniteMatrixGroup,
+    ProvablyDistinct,
+    Subgroup,
+    _is_cyclic,
+    all_subgroups,
+)
 
 
 class NotIndexTwoNormal(Exception):
@@ -108,11 +119,11 @@ class GLattice:
             ", name=%r" % self.name if self.name else "")
 
 
-def lattice_from_gen_action(group: FiniteMatrixGroup, gen_images, name=None):
-    """Build the full action from matrices for group.generator_indices."""
-    n = group.order
+def _action_from_generators(group: FiniteMatrixGroup, gen_images):
+    """Every element's matrix, multiplied out along the Cayley table from
+    the matrices of group.generator_indices."""
     t = group.table
-    action = [None] * n
+    action = [None] * group.order
     action[0] = IntMat.identity(gen_images[0].rows if gen_images else 0)
     gen_map = dict(zip(group.generator_indices, gen_images))
     frontier = [0]
@@ -124,7 +135,13 @@ def lattice_from_gen_action(group: FiniteMatrixGroup, gen_images, name=None):
                 action[y] = action[x] * a_s
                 frontier.append(y)
     assert all(a is not None for a in action)
-    return GLattice(group, action, name=name)
+    return action
+
+
+def lattice_from_gen_action(group: FiniteMatrixGroup, gen_images, name=None):
+    """Build the full action from matrices for group.generator_indices."""
+    return GLattice(group, _action_from_generators(group, gen_images),
+                    name=name)
 
 
 @dataclass(frozen=True)
@@ -177,6 +194,28 @@ class EquivariantMap:
             if self.source.act(s) * self.matrix != self.matrix * self.target.act(s):
                 return False
         return True
+
+
+def sub_lattice_from_rows(p: GLattice, rows: IntMat, name=None):
+    """(sub lattice, inclusion map) for an action-stable saturated row space.
+
+    Only the generator images are solved for (one solve, stacked); the
+    other elements are multiplied out along the Cayley table.  The
+    restriction of an action to a stable sublattice is an action, so the
+    result is not checked again."""
+    if rows.rows == 0:
+        z = GLattice(p.group, [IntMat.zeros(0, 0)] * p.group.order,
+                     name=name, check=False)
+        return z, EquivariantMap(z, p, IntMat.zeros(0, p.rank))
+    gens = p.group.generator_indices
+    k = rows.rows
+    x = solve_left(rows, IntMat([r for s in gens
+                                 for r in (rows * p.act(s)).data]))
+    assert x is not None, "row space is not action-stable/saturated"
+    gen_images = [IntMat(x.data[i * k:(i + 1) * k]) for i in range(len(gens))]
+    sub = GLattice(p.group, _action_from_generators(p.group, gen_images),
+                   name=name, check=False)
+    return sub, EquivariantMap(sub, p, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -306,46 +345,46 @@ def aug_ideal(x: GSet, name=None) -> GLattice:
                         name=name, check=False)
     emb = IntMat([[1 if j == i else (-1 if j == i + 1 else 0) for j in range(n)]
                   for i in range(n - 1)])
-    zl = perm_lattice(x)
-    action = []
-    for g in range(x.group.order):
-        a = solve_left(emb, emb * zl.act(g))
-        assert a is not None
-        action.append(a)
-    return GLattice(x.group, action, name=name)
+    return sub_lattice_from_rows(perm_lattice(x), emb, name=name)[0]
+
+
+def rho_matrix(perm):
+    """Action of a permutation of n+1 points on J = Z[X]/(sum), basis the
+    images x1..xn of the first n points.
+
+    Rows carry images: x_i maps to x_{perm(i)}, or to -(x_1+..+x_n) when
+    perm sends i to the dropped last point.
+    """
+    n = len(perm) - 1
+    rows = []
+    for i in range(n):
+        j = perm[i]
+        if j == n:
+            rows.append([-1] * n)
+        else:
+            rows.append([1 if k == j else 0 for k in range(n)])
+    return IntMat(rows)
 
 
 def j_lattice(x: GSet, name=None) -> GLattice:
     """J_X = Z[X]/Z(sum of X), basis = images of the first n-1 points.
 
-    The last point maps to minus the sum of the basis, so each action
-    matrix is the corresponding permutation matrix with any row that
-    would land on the last point replaced by (-1, ..., -1).
+    GSet has checked the permutations and J_X is a quotient of Z[X], so
+    the matrices are not checked again.
     """
-    n = x.points
-    if n <= 1:
+    if x.points <= 1:
         return GLattice(x.group, [IntMat.zeros(0, 0)] * x.group.order,
                         name=name, check=False)
-    action = []
-    for p in x.perms:
-        rows = []
-        for i in range(n - 1):
-            j = p[i]
-            if j < n - 1:
-                rows.append([1 if k == j else 0 for k in range(n - 1)])
-            else:
-                rows.append([-1] * (n - 1))
-        action.append(IntMat(rows))
-    return GLattice(x.group, action, name=name)
+    return GLattice(x.group, [rho_matrix(p) for p in x.perms], name=name,
+                    check=False)
 
 
 def sign_lattice(g: FiniteMatrixGroup, n: Subgroup, name=None) -> GLattice:
     """Rank-1 lattice with kernel exactly the index-2 normal subgroup n."""
     if 2 * n.order != g.order:
         raise NotIndexTwoNormal("subgroup has index %d" % (g.order // n.order))
-    for s in g.generator_indices:
-        if g.conjugate_set(n.members, s) != n.members:
-            raise NotIndexTwoNormal("subgroup is not normal")
+    if not n.is_normal():
+        raise NotIndexTwoNormal("subgroup is not normal")
     action = [IntMat([[1]]) if i in n.members else IntMat([[-1]])
               for i in range(g.order)]
     lat = GLattice(g, action, name=name)
@@ -415,9 +454,9 @@ def induce(h: Subgroup, m: GLattice, name=None) -> GLattice:
 def quotient_group(g: FiniteMatrixGroup, n: Subgroup):
     """(Q, proj): Q is g/n realized by permutation matrices on the cosets
     of n (the regular action of the quotient); proj maps element index of
-    g to element index of Q."""
-    assert n.is_normal() or all(
-        g.conjugate_set(n.members, x) == n.members for x in range(g.order))
+    g to element index of Q.  Raises ValueError when n is not normal."""
+    if not n.is_normal():
+        raise ValueError("subgroup is not normal")
     x = coset_gset(g, n)
     mats = perm_lattice(x).action
     seen = {}
@@ -557,27 +596,11 @@ def tate_profile(m: GLattice, degrees=(-1, 0, 1)):
 def hom_basis(m: GLattice, n: GLattice):
     """Z-basis of Hom_G(M, N) = {F : act_m(g) F = F act_n(g)}."""
     assert m.group is n.group
-    rm, rn = m.rank, n.rank
-    if rm == 0 or rn == 0:
+    if m.rank == 0 or n.rank == 0:
         return []
-    cols = []
-    for s in m.group.generator_indices:
-        a = m.act(s)
-        b = n.act(s)
-        for i in range(rm):
-            for k in range(rn):
-                col = [0] * (rm * rn)
-                for j in range(rm):
-                    col[j * rn + k] += a.data[i][j]
-                for j in range(rn):
-                    col[i * rn + j] -= b.data[j][k]
-                cols.append(col)
-    if not cols:
-        return [IntMat.from_flat(rm, rn, row)
-                for row in IntMat.identity(rm * rn).data]
-    constraint = IntMat([[c[e] for c in cols] for e in range(rm * rn)])
-    kern = kernel_basis(constraint)
-    return [IntMat.from_flat(rm, rn, row) for row in kern.data]
+    return intertwiner_basis([(m.act(s), n.act(s))
+                              for s in m.group.generator_indices],
+                             m.rank, n.rank)
 
 
 def find_isomorphism(m: GLattice, n: GLattice, budget=20000) -> EquivariantMap:
@@ -594,7 +617,9 @@ def find_isomorphism(m: GLattice, n: GLattice, budget=20000) -> EquivariantMap:
         return EquivariantMap(m, n, IntMat.zeros(0, 0))
     if m.character() != n.character():
         raise ProvablyDistinct("character mismatch")
-    for h in _cyclic_subgroup_reps(m.group):
+    for h in subgroup_class_reps(m.group):
+        if not _is_cyclic(m.group, h.members):
+            continue
         for k in (-1, 0):
             if tate(m, h, k) != tate(n, h, k):
                 raise ProvablyDistinct(
@@ -608,23 +633,6 @@ def find_isomorphism(m: GLattice, n: GLattice, budget=20000) -> EquivariantMap:
     f = EquivariantMap(m, n, x)
     assert f.check()
     return f
-
-
-def _cyclic_subgroup_reps(g: FiniteMatrixGroup):
-    """One cyclic subgroup <i> per conjugacy class of elements i."""
-    seen = set()
-    reps = []
-    cls = g.conj_class_of
-    done_classes = set()
-    for i in range(g.order):
-        if cls[i] in done_classes:
-            continue
-        done_classes.add(cls[i])
-        members = frozenset(g.powers(i))
-        if members not in seen:
-            seen.add(members)
-            reps.append(Subgroup(g, members))
-    return reps
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +657,23 @@ def _short_vectors(rank, radius):
             yield v
 
 
+def _action_array(m: GLattice):
+    return np.array([a.data for a in m.action], dtype=np.int64)
+
+
+def _row_images(m: GLattice, rows):
+    """[g][i] = rows[i] * act(g) as a tuple, from one numpy product."""
+    imgs = np.array(rows, dtype=np.int64) @ _action_array(m)
+    return [list(map(tuple, img)) for img in imgs.tolist()]
+
+
+def _gset_of_rows(m: GLattice, rows) -> GSet:
+    """The G-set of a G-stable list of distinct row vectors."""
+    pos = {tuple(r): i for i, r in enumerate(rows)}
+    perms = tuple(tuple(pos[w] for w in img) for img in _row_images(m, rows))
+    return GSet(m.group, len(rows), perms)
+
+
 def recognize_permutation(m: GLattice, budget=200000, max_radius=3):
     """Search for a Z-basis permuted by the action.
 
@@ -657,61 +682,44 @@ def recognize_permutation(m: GLattice, budget=200000, max_radius=3):
     of orbits forming a unimodular basis.  Returns a PermutationWitness or
     None ("unknown": the search is sound but not complete).
     """
-    basis_rows = _orbit_basis_search(m, budget, max_radius, up_to_sign=False)
+    basis_rows = _orbit_basis_search(m, budget, max_radius, False, m.rank)
     if basis_rows is None:
         return None
-    basis = IntMat(basis_rows)
-    # read off the induced permutation action
-    pos = {tuple(r): i for i, r in enumerate(basis_rows)}
-    perms = []
-    for g in range(m.group.order):
-        a = m.act(g)
-        p = []
-        for r in basis_rows:
-            w = tuple((IntMat([list(r)]) * a).data[0])
-            p.append(pos[w])
-        perms.append(tuple(p))
-    gset = GSet(m.group, m.rank, tuple(perms))
-    pl = perm_lattice(gset)
-    f = EquivariantMap(pl, m, basis)
+    gset = _gset_of_rows(m, basis_rows)
+    f = EquivariantMap(perm_lattice(gset), m, IntMat(basis_rows))
     assert f.check()
     return PermutationWitness(gset, f)
 
 
 def recognize_sign_permutation(m: GLattice, budget=200000, max_radius=3):
     """Like recognize_permutation but the basis may be permuted up to sign."""
-    basis_rows = _orbit_basis_search(m, budget, max_radius, up_to_sign=True)
+    basis_rows = _orbit_basis_search(m, budget, max_radius, True, m.rank)
     if basis_rows is None:
         return None
-    basis = IntMat(basis_rows)
     pos = {}
     for i, r in enumerate(basis_rows):
         pos[tuple(r)] = (i, 1)
         pos[tuple(-x for x in r)] = (i, -1)
-    signed = []
-    for g in range(m.group.order):
-        a = m.act(g)
-        p = []
-        for r in basis_rows:
-            w = tuple((IntMat([list(r)]) * a).data[0])
-            p.append(pos[w])
-        signed.append(tuple(p))
-    return SignPermutationWitness(basis, tuple(signed))
+    signed = tuple(tuple(pos[w] for w in img)
+                   for img in _row_images(m, basis_rows))
+    return SignPermutationWitness(IntMat(basis_rows), signed)
 
 
-def _orbit_basis_search(m: GLattice, budget, max_radius, up_to_sign):
+def _orbit_basis_search(m: GLattice, budget, max_radius, up_to_sign, points):
+    """A union of G-orbits of short vectors, `points` vectors in all: a
+    unimodular basis when points == rank, the images of the points of X
+    in M = J_X (zero column sum, first rank rows unimodular) when
+    points == rank + 1.  None when nothing is found within the budget."""
     rank = m.rank
     if rank == 0:
         return []
-    import numpy as np
 
     orbits = []
     per_size = {}
     pool_cap = 300
     seen_vecs = set()
     spent = 0
-    acts = np.array([m.act(g).data for g in range(m.group.order)],
-                    dtype=np.int64)
+    acts = _action_array(m)
 
     def collect(rows):
         nonlocal spent
@@ -732,7 +740,7 @@ def _orbit_basis_search(m: GLattice, budget, max_radius, up_to_sign):
                 seen_vecs.add(w)
                 if up_to_sign:
                     seen_vecs.add(tuple(-x for x in w))
-            if len(orb) > rank or per_size.get(len(orb), 0) >= pool_cap:
+            if len(orb) > points or per_size.get(len(orb), 0) >= pool_cap:
                 continue
             per_size[len(orb)] = per_size.get(len(orb), 0) + 1
             orbits.append(orb)
@@ -747,15 +755,15 @@ def _orbit_basis_search(m: GLattice, budget, max_radius, up_to_sign):
         norms = (vecs * vecs).sum(axis=1)
         return vecs[np.argsort(norms, kind="stable")].tolist()
 
-    # A basis vector whose orbit fits inside a basis has a stabilizer of
-    # index <= rank, so it lies in the fixed sublattice of some subgroup
+    # A vector whose orbit fits among `points` vectors has a stabilizer of
+    # index <= points, so it lies in the fixed sublattice of some subgroup
     # in that index range.  Those sublattices usually have small rank, so
     # enumerating short coefficient vectors on each of them reaches far
     # beyond what a box search on the ambient lattice can afford.
     fixed = []
     for cls in all_subgroups(m.group).classes:
         h = cls.representative
-        if m.group.order > h.order * rank:
+        if m.group.order > h.order * points:
             continue
         fx = fixed_sublattice(m, h)
         if fx.rows:
@@ -771,8 +779,8 @@ def _orbit_basis_search(m: GLattice, budget, max_radius, up_to_sign):
             if collect(box_rows(rows, radius)):
                 out_of_budget = True
                 break
-        # try to assemble a basis from the orbits collected so far
-        hit = _assemble_basis(orbits, rank)
+        # try to assemble from the orbits collected so far
+        hit = _assemble_basis(orbits, rank, points)
         if hit is not None:
             return hit
         if out_of_budget:
@@ -780,17 +788,17 @@ def _orbit_basis_search(m: GLattice, budget, max_radius, up_to_sign):
     return None
 
 
-def _assemble_basis(orbits, rank, max_tries=100000):
-    """Backtracking subset search: orbits with total size = rank and
-    unimodular stacked matrix.
+def _assemble_basis(orbits, rank, points, max_tries=100000):
+    """Backtracking subset search: orbits with `points` vectors in all
+    whose first rank rows are unimodular and, when points > rank, whose
+    columns sum to zero.
 
-    Partial selections are pruned unless their rows stay linearly
-    independent mod 2 (a unimodular matrix is invertible over F_2), which
-    collapses the combinatorics when many orbits share a size.  Surviving
-    complete selections get a float determinant prescreen and an exact
-    check only on near-unimodular hits."""
-    import numpy as np
-
+    Partial selections are pruned unless their first rank rows stay
+    linearly independent mod 2 (a unimodular matrix is invertible over
+    F_2; any rank of the points of J_X form a basis), which collapses the
+    combinatorics when many orbits share a size.  Surviving complete
+    selections get a float determinant prescreen and an exact check only
+    on near-unimodular hits."""
     orbits = sorted(orbits, key=lambda o: (-len(o), o))
     masks = [[sum((x & 1) << i for i, x in enumerate(v)) for v in o]
              for o in orbits]
@@ -813,22 +821,25 @@ def _assemble_basis(orbits, rank, max_tries=100000):
         return b
 
     def rec(i, chosen, total, pivots):
-        if total == rank:
+        if total == points:
             tries[0] += 1
             rows = [list(v) for o in chosen for v in o]
-            sign, logdet = np.linalg.slogdet(np.array(rows, dtype=float))
+            if points > rank and any(map(sum, zip(*rows))):
+                return None
+            square = rows[:rank]
+            sign, logdet = np.linalg.slogdet(np.array(square, dtype=float))
             if sign == 0 or abs(logdet) > 0.5:
                 return None
-            if IntMat(rows).det() in (1, -1):
+            if IntMat(square).det() in (1, -1):
                 return rows
             return None
         if i == len(orbits) or tries[0] > max_tries:
             return None
         for j in range(i, len(orbits)):
             o = orbits[j]
-            if total + len(o) > rank:
+            if total + len(o) > points:
                 continue
-            np2 = eliminate(pivots, masks[j])
+            np2 = eliminate(pivots, masks[j][:rank - total])
             if np2 is None:
                 continue
             hit = rec(j + 1, chosen + [o], total + len(o), np2)

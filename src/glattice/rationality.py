@@ -26,10 +26,16 @@ quasi-permutation certificate).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from math import factorial, gcd
 
-from .intlinalg import BudgetExhausted, IntMat, cokernel_invariants
+from .intlinalg import (
+    BudgetExhausted,
+    IntMat,
+    cokernel_invariants,
+    kernel_basis,
+)
 from .groups import (
     FiniteMatrixGroup,
     Subgroup,
@@ -40,23 +46,32 @@ from .groups import (
     sylow,
 )
 from .lattices import (
+    EquivariantMap,
     GLattice,
     GSet,
+    _gset_of_rows,
+    _orbit_basis_search,
     aug_ideal,
     coset_gset,
     coset_lattice,
+    coset_transversal,
     dual,
+    hom_basis,
     j_lattice,
     perm_lattice,
     recognize_permutation,
     recognize_sign_permutation,
     restrict,
+    sub_lattice_from_rows,
     tensor,
 )
-from .homology import quasi_permutation_check, sub_lattice_from_rows
+from .homology import (
+    ExactSequenceCert,
+    _flasque_tested,
+    quasi_permutation_check,
+    verify_exact,
+)
 from .modular import is_invertible
-from . import lattices as _lat
-from .intlinalg import kernel_basis
 
 
 HEREDITARILY_RATIONAL = "HereditarilyRational"
@@ -124,84 +139,12 @@ def recognize_aug_ideal(m: GLattice, budget=200000, max_radius=3):
     Returns (gset, point_vectors_in_dual) or None (unknown).
     """
     md = dual(m)
-    r = md.rank
-    if r == 0:
+    if md.rank == 0:
         return None
-    target = r + 1
-    import itertools
-    orbits = []
-    seen = set()
-    spent = 0
-    for radius in range(1, max_radius + 1):
-        if (2 * radius + 1) ** r - 1 > budget:
-            break
-        for v in itertools.product(range(-radius, radius + 1), repeat=r):
-            if not any(v) or v in seen:
-                continue
-            spent += 1
-            if spent > budget:
-                break
-            orb = _vector_orbit_capped(md, v, target)
-            if orb is None:
-                seen.add(v)
-                continue
-            for w in orb:
-                seen.add(w)
-            orbits.append(orb)
-        hit = _assemble_point_set(md, orbits, target)
-        if hit is not None:
-            return hit
-        if spent > budget:
-            break
-    return None
-
-
-def _vector_orbit_capped(m, v, cap):
-    vm = IntMat([list(v)])
-    orbit = []
-    got = set()
-    for g in range(m.group.order):
-        w = tuple((vm * m.act(g)).data[0])
-        if w not in got:
-            got.add(w)
-            orbit.append(w)
-            if len(orbit) > cap:
-                return None
-    return sorted(orbit)
-
-
-def _assemble_point_set(md, orbits, target):
-    orbits = sorted(orbits, key=lambda o: (len(o), o))
-
-    def rec(i, chosen, total):
-        if total == target:
-            pts = [v for o in chosen for v in o]
-            if any(sum(col) != 0 for col in zip(*pts)):
-                return None
-            basis = IntMat([list(v) for v in pts[:-1]])
-            if basis.det() not in (1, -1):
-                return None
-            return pts
-        if i == len(orbits):
-            return None
-        for j in range(i, len(orbits)):
-            if total + len(orbits[j]) <= target:
-                hit = rec(j + 1, chosen + [orbits[j]], total + len(orbits[j]))
-                if hit is not None:
-                    return hit
-        return None
-
-    pts = rec(0, [], 0)
+    pts = _orbit_basis_search(md, budget, max_radius, False, md.rank + 1)
     if pts is None:
         return None
-    pos = {v: i for i, v in enumerate(pts)}
-    perms = []
-    for g in range(md.group.order):
-        a = md.act(g)
-        perms.append(tuple(pos[tuple((IntMat([list(v)]) * a).data[0])]
-                           for v in pts))
-    gset = GSet(md.group, len(pts), tuple(perms))
-    return gset, tuple(pts)
+    return _gset_of_rows(md, pts), tuple(map(tuple, pts))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +229,6 @@ def is_faithful(m: GLattice) -> bool:
 def _permutation_quotients(m: GLattice, max_index=None, combo_cap=800):
     """Yield (subgroup, surjection matrix) for surjections M -> Z[G/H],
     searching hom basis elements and their small {-1,0,1} combinations."""
-    import itertools
     g = m.group
     for h in all_subgroups(g).representatives():
         pts = g.order // h.order
@@ -296,7 +238,7 @@ def _permutation_quotients(m: GLattice, max_index=None, combo_cap=800):
         if max_index is not None and pts > max_index:
             continue
         zx = coset_lattice(g, h)
-        basis = _lat.hom_basis(m, zx)
+        basis = hom_basis(m, zx)
         if not basis:
             continue
         cands = list(basis)
@@ -721,8 +663,6 @@ def _a5_flasque_resolution(g, x):
     the natural degree-5 alternating action; the middle is identified
     with the coset lattice on ordered pairs via the basis vectors
     (image of e_i) (x) e_j for ordered pairs (i, j)."""
-    from .homology import ExactSequenceCert, _flasque_tested, verify_exact
-    from .lattices import EquivariantMap
     j = j_lattice(x)
     zx = perm_lattice(x)
     jzx = tensor(j, zx)
@@ -732,7 +672,6 @@ def _a5_flasque_resolution(g, x):
         i for i in range(g.order)
         if x.perms[i][0] == 0 and x.perms[i][1] == 1))
     pair_lat = coset_lattice(g, stab)
-    from .lattices import coset_transversal
     reps, _ = coset_transversal(g, stab)
     rows = []
     for t in reps:

@@ -230,3 +230,28 @@ def test_sign_of_a_subgroup_that_is_not_index_two_normal(capsys):
                          "--lattice", "sign(trivial)")
     assert code == 2
     assert "index" in out["error"]
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("inflate(gens:[a],std)", "not normal"),  # <a> is not normal
+    ("named(rho,0)", "at least 1"),
+    ("named(rho,-1)", "at least 1"),
+    ("named(rho_dual,0)", "at least 1"),
+    ("named(rho_sign,0)", "at least 1"),
+    ("named(eta_B,-2)", "at least 1"),
+])
+def test_non_normal_subgroup_or_size_below_one_is_an_input_error(
+        capsys, expr, message):
+    code, out = run_json(capsys, "classify", "--group", "dade-2-1",
+                         "--lattice", expr)
+    assert code == 2
+    assert message in out["error"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "one of the arguments --dim --roots is required"),
+    (["--dim", "2", "--roots", "dade-2-1"], "not allowed with"),
+])
+def test_census_takes_exactly_one_of_dim_and_roots(capsys, argv, message):
+    assert run(["--json", "census", *argv]) == 2
+    assert message in capsys.readouterr().err

@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from glattice.intlinalg import BudgetExhausted, IntMat
+from glattice import catalog
+from glattice.homology import coflasque_resolution
+from glattice.intlinalg import (
+    BudgetExhausted,
+    IntMat,
+    kernel_basis,
+    solve_left,
+)
 from glattice.groups import ProvablyDistinct, all_subgroups, closure, double_cosets
 from glattice.lattices import (
     EquivariantMap,
@@ -30,8 +37,10 @@ from glattice.lattices import (
     recognize_permutation,
     recognize_sign_permutation,
     restrict,
+    rho_matrix,
     sign_lattice,
     std_lattice,
+    sub_lattice_from_rows,
     tate,
     tensor,
     trivial_lattice,
@@ -126,8 +135,43 @@ def test_perm_aug_j_on_s3():
         assert cz == ci + 1
 
 
+S4 = closure([perm_mat([1, 2, 3, 0]), perm_mat([1, 0, 2, 3])])
+
+
+def test_j_lattice_is_rho_matrix_of_each_permutation():
+    assert catalog.rho_matrix is rho_matrix
+    x = gset_from_permutation_matrices(S4)
+    jx = j_lattice(x)
+    assert all(jx.act(g) == rho_matrix(x.perms[g]) for g in range(S4.order))
+    assert jx.check_full_table()
+
+
+def _assert_restricts_by_per_element_solve(p, rows):
+    sub, inc = sub_lattice_from_rows(p, rows)
+    assert inc.matrix == rows and inc.check()
+    for g in range(p.group.order):
+        assert sub.act(g) == solve_left(rows, rows * p.act(g))
+    assert sub.check_full_table()
+
+
+def test_sub_lattice_from_rows_on_a_coflasque_kernel():
+    cert = coflasque_resolution(
+        catalog.entry("z-4-33-2-1").lattice())
+    _assert_restricts_by_per_element_solve(
+        cert.mid, kernel_basis(cert.surj.matrix))
+
+
+def test_aug_ideal_is_the_sub_lattice_of_the_difference_rows():
+    x = gset_from_permutation_matrices(S4)
+    emb = IntMat([[1 if j == i else (-1 if j == i + 1 else 0)
+                   for j in range(4)] for i in range(3)])
+    _assert_restricts_by_per_element_solve(perm_lattice(x), emb)
+    assert aug_ideal(x).action == \
+        sub_lattice_from_rows(perm_lattice(x), emb)[0].action
+
+
 def test_j_lattice_is_dual_of_augmentation_ideal():
-    for g in (S3, closure([perm_mat([1, 2, 3, 0]), perm_mat([1, 0, 2, 3])])):
+    for g in (S3, S4):
         x = gset_from_permutation_matrices(g)
         f = find_isomorphism(j_lattice(x), dual(aug_ideal(x)))
         assert f.check() and f.matrix.det() in (1, -1)

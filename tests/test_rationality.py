@@ -11,9 +11,12 @@ from glattice.intlinalg import BudgetExhausted, IntMat
 from glattice.groups import Subgroup, all_subgroups, closure
 from glattice.lattices import (
     GLattice,
+    GSet,
     aug_ideal,
     coset_gset,
+    coset_gset_sum,
     direct_sum,
+    dual,
     gset_from_permutation_matrices,
     j_lattice,
     perm_lattice,
@@ -98,6 +101,51 @@ def test_recognize_aug_ideal_witness_is_sound():
     assert len(pts) == I3.rank + 1
     assert all(sum(col) == 0 for col in zip(*pts))
     assert IntMat([list(v) for v in pts[:-1]]).det() in (1, -1)
+
+
+def _aug_ideal_cases():
+    """(label, I_X) for every coset G-set of index >= 2 of four groups,
+    and two two-orbit G-sets.  A regular G-set of a group of order > 8 is
+    left out: its points have trivial stabilizer, so only the coordinate
+    box of the whole lattice holds them, and that box is past the budget."""
+    groups = [("S3", S3)] + [(name, entry(name).group()) for name in
+                             ("dade-2-1", "dade-2-2", "z-3-7-4-3")]
+    for name, g in groups:
+        for k, h in enumerate(all_subgroups(g).representatives()):
+            if h.order < g.order and (h.order > 1 or g.order <= 8):
+                yield ("%s:[G:H%d]=%d" % (name, k, g.order // h.order),
+                       aug_ideal(coset_gset(g, h)))
+    a3 = [h for h in all_subgroups(S3).representatives() if h.order == 3][0]
+    yield "S3: X3 + S3/A3", aug_ideal(coset_gset_sum(
+        S3, [point_stabilizer(S3), a3]))
+    d = entry("dade-2-2").group()
+    small = sorted((h for h in all_subgroups(d).representatives()
+                    if 2 <= d.order // h.order <= 4), key=lambda h: -h.order)
+    yield "dade-2-2: two orbits", aug_ideal(coset_gset_sum(d, small[:2]))
+
+
+@pytest.mark.parametrize("m", [pytest.param(m, id=label)
+                               for label, m in _aug_ideal_cases()])
+def test_recognize_aug_ideal_on_coset_gsets(m):
+    hit = recognize_aug_ideal(m, budget=20000)
+    assert hit is not None
+    gset, pts = hit
+    GSet(gset.group, gset.points, gset.perms)  # validates the action
+    assert gset.group is m.group
+    assert gset.points == len(pts) == m.rank + 1
+    assert all(sum(col) == 0 for col in zip(*pts))
+    assert IntMat([list(v) for v in pts[:m.rank]]).det() in (1, -1)
+    md = dual(m)
+    for g in range(m.group.order):
+        for i, v in enumerate(pts):
+            assert tuple((IntMat([list(v)]) * md.act(g)).data[0]) == \
+                tuple(pts[gset.perms[g][i]])
+
+
+def test_recognize_aug_ideal_refuses_a_not_retract_rational_lattice():
+    # std(dade-3-3) is NotRetractRational, so it is no I_X
+    assert recognize_aug_ideal(entry("dade-3-3").lattice(),
+                               budget=20000) is None
 
 
 def test_classify_coprime_aug_tensor():

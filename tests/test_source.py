@@ -34,3 +34,37 @@ def test_every_private_function_is_referenced():
                     and not refs.get(top.name, set()) - {top.name}):
                 unused.append("%s:%s" % (path.name, top.name))
     assert unused == []
+
+
+LAYERS = ("intlinalg", "groups", "lattices", "homology", "modular",
+          "rationality", "catalog", "cli")
+
+
+def _package_imports(tree):
+    """(node, imported layer module) for every relative import of a layer
+    module anywhere in the tree."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or node.level == 0:
+            continue
+        if node.module:
+            targets = [node.module.split(".")[0]]
+        else:
+            targets = [alias.name for alias in node.names]
+        for target in targets:
+            if target in LAYERS:
+                yield node, target
+
+
+def test_imports_go_down_the_layers_at_module_top():
+    bad = []
+    for layer in LAYERS:
+        tree = ast.parse((SRC / (layer + ".py")).read_text("utf-8"))
+        top = {id(node) for node in tree.body}
+        for node, target in _package_imports(tree):
+            where = "%s.py:%d" % (layer, node.lineno)
+            if LAYERS.index(target) >= LAYERS.index(layer):
+                bad.append("%s imports %s, not a lower layer"
+                           % (where, target))
+            if id(node) not in top:
+                bad.append("%s imports %s inside a function" % (where, target))
+    assert bad == []
