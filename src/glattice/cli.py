@@ -391,6 +391,19 @@ def _case_census3(rep):
     return ok, {"count": out.count, "rational": hered.count}
 
 
+def _case_census4(rep):
+    """710 Z-classes in dimension 4, no undecided pair (about 90 s)."""
+    try:
+        out = census(_catalog.DIM4_ROOTS)
+    except UndecidedPairs as exc:
+        out = exc.report
+    undecided = len(out.undecided_pairs)
+    ok = out.count == _catalog.DIM4_CLASS_COUNT and not undecided
+    rep.line("dim-4 census: %d classes (want %d), %d undecided pair(s)"
+             % (out.count, _catalog.DIM4_CLASS_COUNT, undecided))
+    return ok, {"count": out.count, "undecided": undecided}
+
+
 def _case_4_33_2_1(rep):
     e = entry("z-4-33-2-1")
     g = e.group()
@@ -455,6 +468,7 @@ def _case_retract_seven(rep):
 VERIFY_CASES = {
     "census-2": _case_census2,
     "census-3": _case_census3,
+    "census-4": _case_census4,
     "4-33-2-1": _case_4_33_2_1,
     "retract-seven": _case_retract_seven,
 }

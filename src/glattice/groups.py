@@ -20,6 +20,7 @@ from .intlinalg import (
     BudgetExhausted,
     IntMat,
     intertwiner_basis,
+    rank_modp,
     unimodular_in_lattice,
 )
 
@@ -517,7 +518,7 @@ class StructureProbe:
     normal_subgroups: list = field(default_factory=list)
 
 
-def structure_probe(g: FiniteMatrixGroup, with_normal_subgroups=True) -> StructureProbe:
+def structure_probe(g: FiniteMatrixGroup) -> StructureProbe:
     n = g.order
     t = g.table
     orders = g.element_orders
@@ -528,10 +529,8 @@ def structure_probe(g: FiniteMatrixGroup, with_normal_subgroups=True) -> Structu
     syl_cyc = all(_is_cyclic(g, sylow(g, p).members) for p in primes)
     center = frozenset(i for i in range(n)
                        if all(t[i][s] == t[s][i] for s in g.generator_indices))
-    normals = []
-    if with_normal_subgroups:
-        cls = all_subgroups(g)
-        normals = [c.representative for c in cls.classes if c.size == 1]
+    normals = [c.representative for c in all_subgroups(g).classes
+               if c.size == 1]
     return StructureProbe(n, is_cyclic, is_abelian, syl_cyc,
                           Subgroup(g, center), normals)
 
@@ -657,8 +656,11 @@ def _class_size_map(g):
     return {i: sizes[cls[i]] for i in range(g.order)}
 
 
+ISO_LIMIT = 2000  # glz_conjugate: fewer isomorphisms means all were seen
+
+
 def glz_conjugate(g1: FiniteMatrixGroup, g2: FiniteMatrixGroup,
-                  budget=20000, iso_limit=2000):
+                  budget=20000):
     """Search for X in GL_r(Z) with X g1 X^-1 = g2 (as matrix sets).
 
     Three-valued: returns X on success, raises ProvablyDistinct when an
@@ -680,7 +682,7 @@ def glz_conjugate(g1: FiniteMatrixGroup, g2: FiniteMatrixGroup,
     spent = 0
     iso_count = 0
     any_open = False
-    for f in iter_isomorphisms(g1, g2, match_charpoly=True, limit=iso_limit):
+    for f in iter_isomorphisms(g1, g2, match_charpoly=True, limit=ISO_LIMIT):
         found_iso = True
         iso_count += 1
         # X rho1(s) X^-1 = rho2(f(s)), i.e. rho2(f(s)) X = X rho1(s)
@@ -709,53 +711,32 @@ def glz_conjugate(g1: FiniteMatrixGroup, g2: FiniteMatrixGroup,
             "no characteristic-polynomial-preserving isomorphism exists")
     # when the enumeration was exhaustive and every isomorphism was
     # obstructed, conjugacy is impossible
-    if iso_count < iso_limit and not any_open:
+    if iso_count < ISO_LIMIT and not any_open:
         raise ProvablyDistinct(
             "no isomorphism admits a unimodular intertwiner "
             "(determinant obstruction mod a small prime)")
     raise BudgetExhausted("no unimodular intertwiner found within budget")
 
 
-def _det_mod_p(m, p):
-    n = len(m)
-    a = [row[:] for row in m]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % p), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = (det * a[col][col]) % p
-        inv = pow(a[col][col], p - 2, p)
-        for r in range(col + 1, n):
-            f = (a[r][col] * inv) % p
-            if f:
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
-    return det % p
-
-
-def _det_obstructed_mod_p(basis, primes=(2, 3, 5), cap=2 ** 21):
+def _det_obstructed_mod_p(basis):
     """True when det(sum c_i B_i) = 0 mod p for all coefficients over
-    F_p, for some listed prime p — then the Z-span of `basis` contains
-    no unimodular matrix."""
+    F_p, for some prime p in 2, 3, 5 with p^d <= 2^21 -- then the Z-span
+    of `basis` contains no unimodular matrix.  Dense coefficients come
+    first: sparse combinations of intertwiners are mostly singular."""
     if not basis:
         return True
     size = basis[0].rows
     d = len(basis)
-    for p in primes:
-        if p ** d > cap:
+    for p in (2, 3, 5):
+        if p ** d > 2 ** 21:
             continue
         flats = [[x % p for row in b.data for x in row] for b in basis]
-        hit = False
-        for coeffs in itertools.product(range(p), repeat=d):
+        for coeffs in itertools.product(range(p - 1, -1, -1), repeat=d):
             flat = [sum(c * f[k] for c, f in zip(coeffs, flats)) % p
                     for k in range(size * size)]
             m = [flat[i * size:(i + 1) * size] for i in range(size)]
-            if _det_mod_p(m, p):
-                hit = True
+            if rank_modp(m, p) == size:
                 break
-        if not hit:
+        else:
             return True
     return False

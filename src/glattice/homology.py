@@ -629,9 +629,10 @@ def _extended_system(f: GLattice):
     return reps, IntMat(rows), tuple(fchar[c] for c in class_reps) + rhs
 
 
-def stably_permutation_paddings(f: GLattice, max_rank=None, max_candidates=200):
+def stably_permutation_paddings(f: GLattice):
     """Candidate (pads, targets) multisets satisfying the character and
-    H^0 equations, ordered by total padded rank."""
+    H^0 equations, ordered by total padded rank: at most 200, with target
+    rank at most 3 rank(f) plus the largest coset size."""
     group = f.group
     reps, mat, rhs = _extended_system(f)
     sizes = [group.order // h.order for h in reps]
@@ -640,8 +641,7 @@ def stably_permutation_paddings(f: GLattice, max_rank=None, max_candidates=200):
         return []
     x0 = list(x0.data[0])
     kern = kernel_basis(mat)
-    if max_rank is None:
-        max_rank = 3 * f.rank + max(sizes)
+    max_rank = 3 * f.rank + max(sizes)
     cands = []
     seen = set()
     kdim = kern.rows
@@ -668,9 +668,9 @@ def stably_permutation_paddings(f: GLattice, max_rank=None, max_candidates=200):
             tgts = tuple(h for xi, h in zip(x, reps) for _ in range(xi)
                          if xi > 0)
             cands.append((f.rank + pad_rank, pads, tgts))
-            if len(cands) >= max_candidates:
+            if len(cands) >= 200:
                 break
-        if len(cands) >= max_candidates:
+        if len(cands) >= 200:
             break
     cands.sort(key=lambda c: (c[0],
                               tuple(h.order for h in c[1]),
@@ -678,7 +678,7 @@ def stably_permutation_paddings(f: GLattice, max_rank=None, max_candidates=200):
     return [(p, t) for _, p, t in cands]
 
 
-def quasi_permutation_check(m: GLattice, budget=None, iso_budget=20000,
+def quasi_permutation_check(m: GLattice, iso_budget=20000,
                             resolution: FlasqueResolution = None):
     """Three-valued quasi-permutation decision for a G-lattice.
 
@@ -686,7 +686,7 @@ def quasi_permutation_check(m: GLattice, budget=None, iso_budget=20000,
     isomorphism over permutation multisets (search guided by the
     character / H^0 equations), with the closing exact sequence verified.
     NO: the Diophantine obstruction yields a witness.
-    Otherwise unknown.  `budget` bounds the total padded rank.
+    Otherwise unknown.  `iso_budget` bounds each isomorphism search.
     """
     fl = resolution if resolution is not None else flasque_resolution(m)
     f = fl.cert.right
@@ -697,7 +697,7 @@ def quasi_permutation_check(m: GLattice, budget=None, iso_budget=20000,
     if w is not None:
         return QuasiPermutationResult("no", resolution=fl, witness=w)
     group = f.group
-    for pads, tgts in stably_permutation_paddings(f, max_rank=budget):
+    for pads, tgts in stably_permutation_paddings(f):
         try:
             hit = find_isomorphism_parts(group, (f,) + pads, tgts,
                                          budget=iso_budget)

@@ -3,8 +3,9 @@ Exact integer linear algebra.
 
 Dense matrices of arbitrary-precision Python integers, Smith and Hermite
 normal forms with transformation matrices, saturated kernel bases, cokernel
-invariant factors, integral linear solving, LLL basis reduction, and a
-bounded search for unimodular elements of a lattice of square matrices.
+invariant factors, integral linear solving, row reduction over F_p, LLL
+basis reduction, and a bounded search for unimodular elements of a lattice
+of square matrices.
 
 Everything here is immutable and pure; all downstream cohomology and
 isomorphism machinery reduces to these routines.
@@ -19,13 +20,7 @@ from fractions import Fraction
 
 
 class BudgetExhausted(Exception):
-    """A bounded search ran out of budget: the answer is 'unknown', never 'no'.
-
-    `data` says where the search ran out and how much it had spent."""
-
-    def __init__(self, message="", **data):
-        super().__init__(message)
-        self.data = data
+    """A bounded search ran out of budget: the answer is 'unknown', never 'no'."""
 
 
 class IntMat:
@@ -551,11 +546,43 @@ def saturate(a: IntMat) -> IntMat:
 
 
 # ---------------------------------------------------------------------------
+# linear algebra over F_p (dense, row-major lists)
+# ---------------------------------------------------------------------------
+
+def _rref_modp(rows, p):
+    """Row-reduce in place over F_p; returns (rref rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows, []
+    n = len(rows[0])
+    r = 0
+    pivots = []
+    for j in range(n):
+        piv = next((i for i in range(r, len(rows)) if rows[i][j] % p), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][j], -1, p)
+        rows[r] = [(x * inv) % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][j] % p:
+                c = rows[i][j]
+                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(j)
+        r += 1
+    return rows, pivots
+
+
+def rank_modp(rows, p):
+    return len(_rref_modp(rows, p)[1])
+
+
+# ---------------------------------------------------------------------------
 # LLL reduction (exact, on integer row vectors)
 # ---------------------------------------------------------------------------
 
-def lll_reduce(rows, delta=Fraction(3, 4)):
-    """LLL-reduce a list of linearly independent integer vectors.
+def lll_reduce(rows):
+    """LLL-reduce (Lovasz constant 3/4) linearly independent integer vectors.
 
     Returns (reduced rows, transform) with transform * rows_in = rows_out.
     Exact rational Gram-Schmidt; fine for the small dimensions used here.
@@ -595,7 +622,7 @@ def lll_reduce(rows, delta=Fraction(3, 4)):
                 t[k] = [x - q * y for x, y in zip(t[k], t[j])]
                 for l in range(j + 1):
                     mu[k][l] -= q * mu[j][l]
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+        if norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
@@ -626,7 +653,7 @@ def _make_unimodular_test(size):
     return test
 
 
-def unimodular_in_lattice(basis, bound=20000, rng_seed=0):
+def unimodular_in_lattice(basis, bound=20000):
     """Search the Z-span of `basis` (square IntMats of equal size) for an
     element of determinant +-1.
 
@@ -706,7 +733,7 @@ def unimodular_in_lattice(basis, bound=20000, rng_seed=0):
                            for m in mats], dtype=float).reshape(d, size, size)
 
     radius = 1
-    rng = random.Random(rng_seed)
+    rng = random.Random(0)
     while evals < bound:
         n_box = (2 * radius + 1) ** d
         if n_box <= max(bound - evals, 0) and n_box <= 3 ** 12:

@@ -580,13 +580,14 @@ def is_coflasque(m: GLattice) -> bool:
     return all(tate(md, h, -1).is_trivial() for h in subgroup_class_reps(m.group))
 
 
-def tate_profile(m: GLattice, degrees=(-1, 0, 1)):
-    """Sorted multiset of Tate invariants over all subgroup class reps
-    (a conjugation-invariant fingerprint)."""
-    out = []
-    for h in subgroup_class_reps(m.group):
-        out.append((h.order,) + tuple(tate(m, h, k).factors for k in degrees))
-    return tuple(sorted(out))
+def tate_profile(m: GLattice):
+    """Sorted multiset of the Tate invariants in degrees -1, 0, 1 over all
+    subgroup class reps (a conjugation-invariant fingerprint).  Degree 1
+    is degree -1 of the dual, built once."""
+    md = dual(m)
+    return tuple(sorted((h.order, tate(m, h, -1).factors,
+                         tate(m, h, 0).factors, tate(md, h, -1).factors)
+                        for h in subgroup_class_reps(m.group)))
 
 
 # ---------------------------------------------------------------------------
@@ -674,15 +675,15 @@ def _gset_of_rows(m: GLattice, rows) -> GSet:
     return GSet(m.group, len(rows), perms)
 
 
-def recognize_permutation(m: GLattice, budget=200000, max_radius=3):
+def recognize_permutation(m: GLattice, budget=200000):
     """Search for a Z-basis permuted by the action.
 
-    Enumerates candidate vectors of sup-norm <= max_radius in increasing
+    Enumerates candidate vectors of sup-norm <= 3 in increasing
     radius, collects full G-orbits of size <= rank, and looks for a union
     of orbits forming a unimodular basis.  Returns a PermutationWitness or
     None ("unknown": the search is sound but not complete).
     """
-    basis_rows = _orbit_basis_search(m, budget, max_radius, False, m.rank)
+    basis_rows = _orbit_basis_search(m, budget, False, m.rank)
     if basis_rows is None:
         return None
     gset = _gset_of_rows(m, basis_rows)
@@ -691,9 +692,9 @@ def recognize_permutation(m: GLattice, budget=200000, max_radius=3):
     return PermutationWitness(gset, f)
 
 
-def recognize_sign_permutation(m: GLattice, budget=200000, max_radius=3):
+def recognize_sign_permutation(m: GLattice, budget=200000):
     """Like recognize_permutation but the basis may be permuted up to sign."""
-    basis_rows = _orbit_basis_search(m, budget, max_radius, True, m.rank)
+    basis_rows = _orbit_basis_search(m, budget, True, m.rank)
     if basis_rows is None:
         return None
     pos = {}
@@ -705,7 +706,7 @@ def recognize_sign_permutation(m: GLattice, budget=200000, max_radius=3):
     return SignPermutationWitness(IntMat(basis_rows), signed)
 
 
-def _orbit_basis_search(m: GLattice, budget, max_radius, up_to_sign, points):
+def _orbit_basis_search(m: GLattice, budget, up_to_sign, points):
     """A union of G-orbits of short vectors, `points` vectors in all: a
     unimodular basis when points == rank, the images of the points of X
     in M = J_X (zero column sum, first rank rows unimodular) when
@@ -771,7 +772,7 @@ def _orbit_basis_search(m: GLattice, budget, max_radius, up_to_sign, points):
     fixed.sort(key=len)
     if rank <= 12:
         fixed.append([row[:] for row in IntMat.identity(rank).data])
-    for radius in range(1, max_radius + 1):
+    for radius in (1, 2, 3):
         out_of_budget = False
         for rows in fixed:
             if (2 * radius + 1) ** len(rows) - 1 > budget - spent:
@@ -788,7 +789,7 @@ def _orbit_basis_search(m: GLattice, budget, max_radius, up_to_sign, points):
     return None
 
 
-def _assemble_basis(orbits, rank, points, max_tries=100000):
+def _assemble_basis(orbits, rank, points):
     """Backtracking subset search: orbits with `points` vectors in all
     whose first rank rows are unimodular and, when points > rank, whose
     columns sum to zero.
@@ -798,7 +799,7 @@ def _assemble_basis(orbits, rank, points, max_tries=100000):
     F_2; any rank of the points of J_X form a basis), which collapses the
     combinatorics when many orbits share a size.  Surviving complete
     selections get a float determinant prescreen and an exact check only
-    on near-unimodular hits."""
+    on near-unimodular hits; the search gives up after 100000 of them."""
     orbits = sorted(orbits, key=lambda o: (-len(o), o))
     masks = [[sum((x & 1) << i for i, x in enumerate(v)) for v in o]
              for o in orbits]
@@ -833,7 +834,7 @@ def _assemble_basis(orbits, rank, points, max_tries=100000):
             if IntMat(square).det() in (1, -1):
                 return rows
             return None
-        if i == len(orbits) or tries[0] > max_tries:
+        if i == len(orbits) or tries[0] > 100000:
             return None
         for j in range(i, len(orbits)):
             o = orbits[j]

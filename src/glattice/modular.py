@@ -13,21 +13,25 @@ permutation module come from Frobenius reciprocity (Brown, Cohomology of
 Groups, GTM 87, III.5): Hom_P(M, F_p[P/Q]) = (M*)^Q.  Such a map F is
 determined by its column f at the base coset Q, which may be any column
 vector with act(q) f = f for q in Q; its column at the coset Qg is
-act(g^-1) f.  So a Hom basis needs one r-dimensional fixed-space
-computation per summand, not a linear system in all r * |P/Q| entries
-of F.
+act(g^-1) f.
 
-All verdicts involving search are three-valued: an explicit witness, a
-proof of impossibility from invariants (ProvablyNot), or BudgetExhausted.
+Recognition is exact, decided on the socle: over a p-group P the socle
+of M is M^P (Alperin, Local Representation Theory, ch. 1), and a module
+map is injective iff it is on the socle.  With base columns f_i the map
+sends v in M^P to sum_i (v . f_i) sigma_i, sigma_i the orbit sum of
+summand i, and a candidate has dim M^P summands.  So it is an isomorphism
+iff the square matrix [v_a . f_i] over a basis v_a of M^P is invertible.
+Choosing the f_i is choosing one vector from each W_i = {(v_a . f)_a :
+f in (M*)^{Q_i}}, all independent; matroid intersection finds such a
+choice or proves that there is none (ProvablyNot).
 """
 
 from __future__ import annotations
 
-import itertools
-import random
+from collections import deque
 from dataclasses import dataclass
 
-from .intlinalg import BudgetExhausted
+from .intlinalg import _rref_modp, rank_modp
 from .groups import (
     FiniteMatrixGroup,
     Subgroup,
@@ -54,34 +58,6 @@ class ProvablyNot(Exception):
 # ---------------------------------------------------------------------------
 # F_p linear algebra (dense, row-major lists)
 # ---------------------------------------------------------------------------
-
-def _rref_modp(rows, p):
-    """Row-reduce in place over F_p; returns (rref rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    n = len(rows[0])
-    r = 0
-    pivots = []
-    for j in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][j] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][j], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][j] % p:
-                c = rows[i][j]
-                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(j)
-        r += 1
-    return rows, pivots
-
-
-def rank_modp(rows, p):
-    return len(_rref_modp(rows, p)[1])
-
 
 def left_nullspace_modp(rows, p):
     """Basis of {x : x * A = 0} over F_p, A given by its rows."""
@@ -256,41 +232,78 @@ def _candidate_multisets(columns, profile):
     return rec(0, [0] * len(profile))
 
 
-def _hom_basis_modp(m: ModpModule, subs):
-    """Basis of Hom_{F_p[G]}(m, sum of F_p[G/Q] over Q in subs), each map
-    flattened row-major, by Frobenius reciprocity (module docstring).
+def _socle_transversal(spaces, p):
+    """One vector from each of the m lists `spaces` of vectors in F_p^m
+    such that the picks form a basis of F_p^m: the position picked in each
+    list, or None when there is none.
+
+    Matroid intersection of the linear matroid on all listed vectors with
+    the partition matroid "at most one per list", grown along shortest
+    augmenting paths (Schrijver, Combinatorial Optimization, ch. 41).
+    When it stops short, some k lists span fewer than k dimensions
+    (Rado's theorem), so no choice from the subspaces they span works
+    either.
+    """
+    chosen = {}  # list -> picked position
+    while len(chosen) < len(spaces):
+        inside = list(chosen.items())
+        outside = [(i, j) for i, s in enumerate(spaces)
+                   for j in range(len(s)) if chosen.get(i) != j]
+        # exchange coordinates: the picks reduce to unit columns, so
+        # column k + c holds outside[c] in their coordinates (rows < k)
+        k = len(inside)
+        red, _ = _rref_modp(zip(*[spaces[i][j] for i, j in inside + outside]),
+                            p)
+        coords = {x: [row[k + c] for row in red]
+                  for c, x in enumerate(outside)}
+        # breadth first from the vectors outside the span of the picks: a
+        # vector leads to the pick of its list, a pick to the vectors
+        # with a nonzero coordinate on it
+        prev = {x: None for x in outside if any(coords[x][k:])}
+        queue = deque(prev)
+        while queue:
+            x = queue.popleft()
+            if x in inside:
+                nxt = [z for z in outside if coords[z][inside.index(x)]]
+            elif x[0] in chosen:
+                nxt = [(x[0], chosen[x[0]])]
+            else:
+                break  # x ends a shortest augmenting path
+            for z in nxt:
+                if z not in prev:
+                    prev[z] = x
+                    queue.append(z)
+        else:
+            return None
+        while x is not None:  # swap the path's vectors for its picks
+            if x not in inside:
+                chosen[x[0]] = x[1]
+            x = prev[x]
+    return [chosen[i] for i in range(len(spaces))]
+
+
+def _spread(m: ModpModule, q: Subgroup, f):
+    """Rows of the map m -> F_p[G/Q] with column f at the base coset:
+    column k is act(g_k^-1) f for the k-th coset representative g_k.
 
     Coset k of coset_transversal is point k of coset_gset, and coset 0
     is Q itself because the identity is element 0.
     """
-    group, p, r = m.group, m.p, m.dim
-    transversals = [coset_transversal(group, q)[0] for q in subs]
-    n = sum(len(reps) for reps in transversals)
-    basis = []
-    off = 0
-    for q, reps in zip(subs, transversals):
-        gens = group.generating_set(q.members)
-        cols = _fixed_basis([tuple(zip(*m.action[s])) for s in gens], r, p)
-        for f in cols:
-            flat = [0] * (r * n)
-            for k, g in enumerate(reps):
-                a = m.action[group.inv[g]]
-                for i in range(r):
-                    flat[i * n + off + k] = sum(
-                        x * y for x, y in zip(a[i], f)) % p
-            basis.append(flat)
-        off += len(reps)
-    return basis
+    group, p = m.group, m.p
+    cols = [[sum(x * y for x, y in zip(row, f)) % p
+             for row in m.action[group.inv[g]]]
+            for g in coset_transversal(group, q)[0]]
+    return [list(row) for row in zip(*cols)]
 
 
-def is_permutation_modp(m: ModpModule, budget=20000):
+def is_permutation_modp(m: ModpModule):
     """Recognize m as a direct sum of coset permutation modules of its
     p-group.  Returns (multiset of Subgroups, isomorphism matrix rows) or
-    raises ProvablyNot / BudgetExhausted.
+    raises ProvablyNot.
 
     Every subgroup multiset that meets the fixed-point dimensions is a
-    candidate, so ProvablyNot means none exists.  `budget` bounds only
-    the isomorphism search over the candidates.
+    candidate, and each is decided on the socle (module docstring), so
+    ProvablyNot means that m is not a permutation module.
     """
     p = m.p
     group = m.group
@@ -302,55 +315,32 @@ def is_permutation_modp(m: ModpModule, budget=20000):
     # counts |Q\G/H| of each rep H on each coset space of Q
     profile = [m.fixed_dim(h.members) for h in reps]
     columns = [[len(dcs) for dcs in row] for row in double_coset_table(group)]
-    rng = random.Random(0)
-    spent = 0
-    survivors = 0
+    socle = _fixed_basis([m.action[s] for s in group.generator_indices],
+                         m.dim, p)
+    fixed = {}  # class position -> (base columns f, socle images)
+
+    def fixed_at(pos):
+        if pos not in fixed:
+            gens = group.generating_set(reps[pos].members)
+            cols = _fixed_basis([tuple(zip(*m.action[s])) for s in gens],
+                                m.dim, p)
+            fixed[pos] = (cols, [[sum(x * y for x, y in zip(v, f)) % p
+                                  for v in socle] for f in cols])
+        return fixed[pos]
+
+    reason = "fixed-point dimensions rule out every candidate"
     for ms in _candidate_multisets(columns, profile):
-        survivors += 1
-        subs = [reps[pos] for pos in ms]
-        basis = _hom_basis_modp(m, subs)
-        if not basis:
+        reason = "no candidate is injective on the socle"
+        picks = _socle_transversal([fixed_at(pos)[1] for pos in ms], p)
+        if picks is None:
             continue
-        k = len(basis)
-        found = None
-        if p ** k <= 2 ** 16:
-            for coeffs in itertools.product(range(p), repeat=k):
-                if not any(coeffs):
-                    continue
-                spent += 1
-                f = _combine(basis, coeffs, m.dim, p)
-                if _is_invertible_modp(f, p):
-                    found = f
-                    break
-        else:
-            for _ in range(512):
-                coeffs = [rng.randrange(p) for _ in range(k)]
-                if not any(coeffs):
-                    continue
-                spent += 1
-                f = _combine(basis, coeffs, m.dim, p)
-                if _is_invertible_modp(f, p):
-                    found = f
-                    break
-        if found is not None:
-            assert _intertwines(m, _direct_sum_perm_modp(group, subs, p), found)
-            return (subs, found)
-        if spent > budget:
-            break
-    if not survivors:
-        raise ProvablyNot("fixed-point dimensions rule out every candidate")
-    raise BudgetExhausted(
-        "candidates survive the invariant checks but no isomorphism found",
-        candidates=spent)
-
-
-def _combine(basis, coeffs, r, p):
-    """The r x r matrix sum(c * b) of flattened basis maps b."""
-    flat = [0] * (r * r)
-    for c, b in zip(coeffs, basis):
-        if c:
-            flat = [(x + c * y) % p for x, y in zip(flat, b)]
-    return [flat[i * r:(i + 1) * r] for i in range(r)]
+        subs = [reps[pos] for pos in ms]
+        blocks = [_spread(m, reps[pos], fixed_at(pos)[0][j])
+                  for pos, j in zip(ms, picks)]
+        found = [sum(rows, []) for rows in zip(*blocks)]
+        assert _intertwines(m, _direct_sum_perm_modp(group, subs, p), found)
+        return (subs, found)
+    raise ProvablyNot(reason)
 
 
 def _intertwines(m: ModpModule, c: ModpModule, f) -> bool:
@@ -434,20 +424,17 @@ def _verify_sylow_witness(m: GLattice, w: SylowPermutationWitness) -> bool:
     return _is_invertible_modp(f, p) and _intertwines(modp, cand, f)
 
 
-def is_invertible(m: GLattice, budget=20000) -> Invertibility:
+def is_invertible(m: GLattice) -> Invertibility:
     """Permutation-summand test: F_p(m) must be Syl_p-permutation for each
     prime p | |G|, with the additional rank equality at p = 2.
 
     One pass over the primes: restrict to the Sylow p-subgroup, reduce
     mod p, recognise a permutation module.  Returns an Invertibility with
     the witnesses, or with the obstruction at the first prime that rules
-    invertibility out.  Raises BudgetExhausted when no prime rules it out
-    but some recognition was inconclusive; its data lists each undecided
-    prime with the candidates spent there.
+    invertibility out; every prime is decided.
     """
     g = m.group
     witnesses = []
-    undecided = []
     for p in _prime_factors(g.order):
         syl = sylow(g, p)
         sgrp = syl.as_group()
@@ -462,18 +449,10 @@ def is_invertible(m: GLattice, budget=20000) -> Invertibility:
                     "reason": "fixed-point rank drops mod 2 "
                               "(%d over Z, %d over F_2)" % (qrank, frank)})
         try:
-            subs, iso = is_permutation_modp(modp, budget=budget)
+            subs, iso = is_permutation_modp(modp)
         except ProvablyNot as e:
             return Invertibility(m, obstruction={"prime": p, "sylow": syl,
                                                  "reason": str(e)})
-        except BudgetExhausted as e:
-            undecided.append(dict(e.data, prime=p, sylow=syl))
-            continue
         witnesses.append(SylowPermutationWitness(
             p, syl, tuple(subs), tuple(tuple(row) for row in iso)))
-    if undecided:
-        raise BudgetExhausted(
-            "mod-p permutation recognition inconclusive at p = %s"
-            % ", ".join(str(u["prime"]) for u in undecided),
-            undecided=tuple(undecided))
     return Invertibility(m, tuple(witnesses))

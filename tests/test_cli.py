@@ -138,6 +138,19 @@ def test_verify_paper_census2(capsys):
                                            "values": {"count": 13}}}
 
 
+def test_verify_paper_census4(capsys, monkeypatch):
+    # the full case takes about a minute and a half; the dim-2 roots run
+    # the same pipeline against their own class count
+    monkeypatch.setattr(catalog, "DIM4_ROOTS", catalog.DIM2_ROOTS)
+    code, out = run_json(capsys, "verify-paper", "--case", "census-4")
+    assert code == 1
+    assert out["results"] == {"census-4": {
+        "ok": False, "values": {"count": 13, "undecided": 0}}}
+    monkeypatch.setattr(catalog, "DIM4_CLASS_COUNT", 13)
+    code, out = run_json(capsys, "verify-paper", "--case", "census-4")
+    assert code == 0 and out["results"]["census-4"]["ok"] is True
+
+
 def test_verify_paper_retract_seven_reverifies(capsys, monkeypatch):
     # the full case takes about half a minute; one retract-only entry and
     # one hereditarily rational entry exercise the per-entry record

@@ -213,6 +213,15 @@ def test_glz_distinct_lattices_same_group():
         glz_conjugate(g1, g2)
 
 
+def test_glz_reflection_classes_distinct_mod_2():
+    # same characteristic polynomials and isomorphic groups, but every
+    # intertwiner of diag(1,-1) with the swap is singular mod 2
+    g1 = closure([IntMat.diag([1, -1])])
+    g2 = closure([IntMat([[0, 1], [1, 0]])])
+    with pytest.raises(ProvablyDistinct, match="determinant obstruction"):
+        glz_conjugate(g1, g2)
+
+
 def test_iter_isomorphisms_counts():
     # S3 has 6 automorphisms (all inner)
     s3 = closure([perm_mat([1, 2, 0]), perm_mat([1, 0, 2])])

@@ -42,6 +42,7 @@ from glattice.lattices import (
     std_lattice,
     sub_lattice_from_rows,
     tate,
+    tate_profile,
     tensor,
     trivial_lattice,
 )
@@ -292,6 +293,15 @@ def test_tate_trivial_subgroup_and_rank_zero():
     empty = aug_ideal(coset_gset(C2, C2.full_subgroup()))
     assert empty.rank == 0
     assert tate(empty, C2.full_subgroup(), -1).is_trivial()
+
+
+@pytest.mark.parametrize("name", ["dade-2-1", "dade-3-2", "z-3-7-4-3"])
+def test_tate_profile_matches_tate(name):
+    m = std_lattice(catalog.entry(name).group())
+    want = sorted((h.order,) + tuple(tate(m, h, k).factors
+                                     for k in (-1, 0, 1))
+                  for h in all_subgroups(m.group).representatives())
+    assert tate_profile(m) == tuple(want)
 
 
 def test_regular_representation_cohomologically_trivial():

@@ -1,15 +1,18 @@
+import itertools
+import random
 from dataclasses import replace
 
 import pytest
 
 from glattice.catalog import entry
 from glattice.homology import flasque_resolution
-from glattice.intlinalg import BudgetExhausted, IntMat
+from glattice.intlinalg import IntMat
 from glattice.groups import all_subgroups, closure, double_coset_table, sylow
 from glattice.lattices import (
     GLattice,
     aug_ideal,
     coset_gset,
+    coset_gset_sum,
     coset_lattice,
     direct_sum,
     dual,
@@ -28,7 +31,9 @@ from glattice.modular import (
     SylowPermutationWitness,
     _candidate_multisets,
     _direct_sum_perm_modp,
-    _hom_basis_modp,
+    _fixed_basis,
+    _socle_transversal,
+    _spread,
     is_cohomologically_trivial,
     is_invertible,
     is_permutation_modp,
@@ -177,9 +182,8 @@ def test_recognize_provably_not():
 
 
 def test_recognize_regular_module_at_zero_budget():
-    # the budget bounds the isomorphism search, not the candidate list
     m = reduce_mod_p(coset_lattice(C4, C4.trivial_subgroup()), 2)
-    subs, f = is_permutation_modp(m, budget=0)
+    subs, f = is_permutation_modp(m)
     assert [s.order for s in subs] == [1]
 
 
@@ -272,20 +276,172 @@ def dense_hom_basis(m, c):
     return left_nullspace_modp(rows, p)
 
 
-def test_hom_basis_adjunction_matches_dense_solve():
+def adjunction_hom_basis(m, subs):
+    """Hom_{F_p[G]}(m, sum of F_p[G/Q]) by Frobenius reciprocity: one map
+    per base column f in (M*)^Q, spread over the cosets of its summand,
+    each flattened row-major."""
+    n = sum(m.group.order // q.order for q in subs)
+    basis = []
+    off = 0
+    for q in subs:
+        k = m.group.order // q.order
+        gens = m.group.generating_set(q.members)
+        for f in _fixed_basis([tuple(zip(*m.action[s])) for s in gens],
+                              m.dim, m.p):
+            block = _spread(m, q, f)
+            basis.append([x for row in block
+                          for x in [0] * off + row + [0] * (n - off - k)])
+        off += k
+    return basis
+
+
+def hom_modules():
     modules = [reduce_mod_p(std_lattice(C2), 2),
                reduce_mod_p(twisted_regular_c4(), 2),
                reduce_mod_p(std_lattice(C3_ZETA), 3)]
-    modules += [reduce_mod_p(coset_lattice(WB2, q), 2)
-                for q in all_subgroups(WB2).representatives()]
-    for m in modules:
+    return modules + [reduce_mod_p(coset_lattice(WB2, q), 2)
+                      for q in all_subgroups(WB2).representatives()]
+
+
+def test_hom_basis_adjunction_matches_dense_solve():
+    for m in hom_modules():
         reps = all_subgroups(m.group).representatives()
         for subs in [[q] for q in reps] + [reps]:
-            adj = _hom_basis_modp(m, subs)
+            adj = adjunction_hom_basis(m, subs)
             dense = dense_hom_basis(
                 m, _direct_sum_perm_modp(m.group, subs, m.p))
             assert rank_modp(adj, m.p) == len(adj) == len(dense)
             assert rank_modp(adj + dense, m.p) == len(dense)
+
+
+def socle_matrix(m, subs, f):
+    """[v_a . f_i]: the image of each socle basis vector v_a under f, one
+    multiple of the orbit sum per summand i."""
+    socle = _fixed_basis([m.action[s] for s in m.group.generator_indices],
+                         m.dim, m.p)
+    out = []
+    for v in socle:
+        image = [sum(x * row[k] for x, row in zip(v, f)) % m.p
+                 for k in range(len(f[0]))]
+        row, off = [], 0
+        for q in subs:
+            block = image[off:off + m.group.order // q.order]
+            assert len(set(block)) == 1
+            row.append(block[0])
+            off += len(block)
+        out.append(row)
+    return out
+
+
+def test_socle_matrix_decides_invertibility():
+    # random maps from the dense Hom reference, for every candidate
+    rng = random.Random(5)
+    seen = set()
+    for m in hom_modules():
+        reps = all_subgroups(m.group).representatives()
+        for ms in _candidate_multisets(*candidate_data(m)):
+            subs = [reps[pos] for pos in ms]
+            dense = dense_hom_basis(
+                m, _direct_sum_perm_modp(m.group, subs, m.p))
+            n = len(dense[0]) // m.dim
+            for _ in range(20):
+                coeffs = [rng.randrange(m.p) for _ in dense]
+                flat = [sum(c * b[e] for c, b in zip(coeffs, dense)) % m.p
+                        for e in range(m.dim * n)]
+                f = [flat[i * n:(i + 1) * n] for i in range(m.dim)]
+                s = socle_matrix(m, subs, f)
+                assert len(s) == len(subs)
+                iso = rank_modp(f, m.p) == m.dim
+                assert iso == (rank_modp(s, m.p) == len(subs))
+                seen.add(iso)
+    assert seen == {True, False}
+
+
+def brute_force_transversal(spaces, p):
+    """Reference: depth-first over every vector of every span, keeping
+    only independent partial choices."""
+    n = len(spaces)
+
+    def span(vs):
+        return {tuple(sum(c * v[t] for c, v in zip(cs, vs)) % p
+                      for t in range(n))
+                for cs in itertools.product(range(p), repeat=len(vs))}
+
+    spans = [span(vs) for vs in spaces]
+
+    def rec(i, chosen):
+        if i == n:
+            return True
+        return any(rank_modp(chosen + [list(w)], p) == i + 1
+                   and rec(i + 1, chosen + [list(w)]) for w in spans[i])
+
+    return rec(0, [])
+
+
+def check_transversal(spaces, p):
+    picks = _socle_transversal(spaces, p)
+    assert (picks is not None) == brute_force_transversal(spaces, p)
+    if picks is not None:
+        rows = [spaces[i][j] for i, j in enumerate(picks)]
+        assert rank_modp(rows, p) == len(spaces)
+    return picks
+
+
+def test_socle_transversal_matches_brute_force():
+    rng = random.Random(3)
+    found = set()
+    for p in (2, 3):
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            spaces = [[[rng.randrange(p) for _ in range(n)]
+                       for _ in range(rng.randint(0, 2))] for _ in range(n)]
+            found.add(check_transversal(spaces, p) is not None)
+    assert found == {True, False}
+
+
+def test_socle_transversal_escapes_the_greedy_trap():
+    # picking e1 from W1 first leaves nothing for W2 = <e1>
+    assert check_transversal([[[1, 0], [0, 1]], [[1, 0]]], 2) == [1, 0]
+
+
+def test_socle_transversal_rado_violation():
+    # W1 + W2 has dimension 1 < 2, though every W_i is nonzero and the
+    # dimensions add up to 3
+    spaces = [[[1, 0, 0]], [[2, 0, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]
+    assert check_transversal(spaces, 3) is None
+
+
+def test_j_plus_j_mod_3_is_provably_not():
+    # a candidate (regular + trivial) meets the fixed-point dimensions,
+    # but two Jordan blocks of size 2 are not one of size 3 plus one of 1
+    j = std_lattice(C3_ZETA)
+    m = reduce_mod_p(direct_sum(j, j), 3)
+    assert list(_candidate_multisets(*candidate_data(m)))
+    with pytest.raises(ProvablyNot):
+        is_permutation_modp(m)
+    inv = is_invertible(direct_sum(j, j))
+    assert not inv and inv.obstruction["prime"] == 3
+
+
+def test_recognize_twisted_sum_of_every_coset_module():
+    # the sum of the 8 coset lattices of the order-8 Sylow subgroup of
+    # dade-2-1, with a unimodular change of basis linking the summands
+    syl = sylow(entry("dade-2-1").group(), 2).as_group()
+    reps = all_subgroups(syl).representatives()
+    m = perm_lattice(coset_gset_sum(syl, reps))
+    assert (syl.order, len(reps), m.rank) == (8, 8, 27)
+    u = [[1 if i == j else 0 for j in range(m.rank)] for i in range(m.rank)]
+    off = 0
+    for q in reps[:-2]:
+        off += syl.order // q.order
+        u[off - 1][off] = 1
+    u = IntMat(u)
+    ui = u.inverse_unimodular()
+    twisted = GLattice(syl, [u * a * ui for a in m.action])
+    subs, f = is_permutation_modp(reduce_mod_p(twisted, 2))
+    assert sorted(reps.index(q) for q in subs) == list(range(8))
+    inv = is_invertible(twisted)
+    assert inv and inv.verify()
 
 
 # ---------------------------------------------------------------------------

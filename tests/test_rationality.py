@@ -4,10 +4,9 @@ import weakref
 
 import pytest
 
-from glattice import modular
 from glattice.catalog import entry
 from glattice.homology import stably_permutation_obstruction
-from glattice.intlinalg import BudgetExhausted, IntMat
+from glattice.intlinalg import IntMat
 from glattice.groups import Subgroup, all_subgroups, closure
 from glattice.lattices import (
     GLattice,
@@ -28,7 +27,6 @@ from glattice.rationality import (
     NOT_RETRACT_RATIONAL,
     RETRACT_RATIONAL,
     STABLY_RATIONAL,
-    UNKNOWN,
     NormOneSpec,
     UnrecognizedShape,
     aug_tensor,
@@ -252,24 +250,6 @@ def test_classify_retract_rational_dim4(name):
     inv = v.certificate[1].data["witness"]
     assert inv.lattice is v.certificate[1].data["flasque"]
     assert inv.verify()
-
-
-def test_invertibility_undecided_names_prime_and_spend(monkeypatch):
-    recognize = modular.is_permutation_modp
-
-    def exhausted_at_3(m, budget=20000):
-        if m.p == 3:
-            raise BudgetExhausted("no isomorphism found", candidates=7)
-        return recognize(m, budget=budget)
-
-    monkeypatch.setattr(modular, "is_permutation_modp", exhausted_at_3)
-    v = classify(entry("z-4-33-2-1").lattice())
-    assert v.level == UNKNOWN
-    step = v.certificate[-1]
-    assert step.kind == "invertibility_undecided"
-    (undecided,) = step.data["undecided"]
-    assert undecided["prime"] == 3 and undecided["candidates"] == 7
-    assert undecided["sylow"].order == 3
 
 
 def test_verdict_implication_order():
