@@ -20,8 +20,6 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from sympy import Poly, cyclotomic_poly, symbols
-
 from .groups import (
     FiniteMatrixGroup,
     ProvablyDistinct,
@@ -35,7 +33,7 @@ from .lattices import (
     hom_basis,
     rho_matrix,
     std_lattice,
-    tate_profile,
+    subgroup_tate_profiles,
 )
 
 
@@ -97,11 +95,28 @@ def eta_matrix(n, flips, perm):
     return IntMat(rows)
 
 
+def cyclotomic_poly(m):
+    """Integer coefficients c_0 .. c_d of the m-th cyclotomic polynomial:
+    x^m - 1 divided exactly by Phi_d for every proper divisor d of m."""
+    num = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d:
+            continue
+        den = cyclotomic_poly(d)  # monic
+        k = len(den) - 1
+        quot = [0] * (len(num) - k)
+        for i in range(len(quot) - 1, -1, -1):
+            quot[i] = q = num[i + k]
+            for j, c in enumerate(den):
+                num[i + j] -= q * c
+        assert not any(num), "inexact division by Phi_%d" % d
+        num = quot
+    return num
+
+
 def cyclotomic_companion_matrix(m):
-    x = symbols("x")
-    coeffs = Poly(cyclotomic_poly(m, x), x).all_coeffs()  # high -> low
-    d = len(coeffs) - 1
-    low = [int(c) for c in reversed(coeffs)][:d]  # c_0 .. c_{d-1}
+    low = cyclotomic_poly(m)[:-1]  # c_0 .. c_{d-1}
+    d = len(low)
     rows = []
     for i in range(d - 1):
         rows.append([1 if k == i + 1 else 0 for k in range(d)])
@@ -494,15 +509,6 @@ class CensusReport:
         return out
 
 
-def _fingerprint(g: FiniteMatrixGroup):
-    # conjugation invariants: element data plus the Tate cohomology of
-    # the defining lattice over every subgroup class (charpolys alone do
-    # not separate e.g. the two reflection classes in GL_2(Z))
-    by_elt = sorted(zip(g.element_orders, g.charpolys))
-    return (g.rank, g.order, tuple(by_elt),
-            tate_profile(std_lattice(g)))
-
-
 def _canon_key(g: FiniteMatrixGroup):
     return tuple(sorted(m.data for m in g.elements))
 
@@ -511,19 +517,25 @@ def census(roots, budget=60000) -> CensusReport:
     """Merge the subgroup classes of the root groups into Z-classes.
 
     Membership of two subgroups in the same Z-class is decided by
-    glz_conjugate; candidates are pre-bucketed on cheap conjugation
-    invariants (order and the multiset of element characteristic
-    polynomials) so only plausible pairs are compared.  Raises
-    UndecidedPairs when any comparison exhausts its budget.
+    glz_conjugate; candidates are pre-bucketed on a fingerprint of
+    conjugation invariants, so only plausible pairs are compared: rank,
+    order, the multiset of (element order, characteristic polynomial) and
+    the Tate profile of the defining lattice (charpolys alone do not
+    separate e.g. the two reflection classes in GL_2(Z)).  The profiles
+    of all subgroup classes of a root come from one Tate table of the
+    root.  Raises UndecidedPairs when any comparison exhausts its budget.
     """
     reps = []
     roots = [entry(e) if isinstance(e, str) else e for e in roots]
     for e in roots:
         g = e.group()
+        orders, charpolys = g.element_orders, g.charpolys
+        profiles = subgroup_tate_profiles(std_lattice(g))
         for idx, cls in enumerate(all_subgroups(g).representatives()):
+            by_elt = sorted((orders[i], charpolys[i]) for i in cls.members)
+            fp = (g.rank, cls.order, tuple(by_elt), profiles[idx])
             sub = cls.as_group()
-            reps.append((_fingerprint(sub), _canon_key(sub), e.name, idx,
-                         sub))
+            reps.append((fp, _canon_key(sub), e.name, idx, sub))
     # canonical processing order makes the census root-order independent
     reps.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
 

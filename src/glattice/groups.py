@@ -88,14 +88,16 @@ class FiniteMatrixGroup:
         r = self.rank
         maxabs = max(m.max_abs() for m in self.elements)
         if n * r > 0 and maxabs < 2 ** 20:
-            arr = np.array([[list(row) for row in m.data] for m in self.elements],
-                           dtype=np.int64)
-            keys = {m.data: i for i, m in enumerate(self.elements)}
+            # each row's products in one buffer, sliced into per-element
+            # byte keys
+            arr = np.array([m.data for m in self.elements], dtype=np.int64)
+            keys = {a.tobytes(): i for i, a in enumerate(arr)}
+            size = r * r * arr.itemsize
             table = []
             for i in range(n):
-                prods = arr[i] @ arr  # (n, r, r)
-                row = [keys[tuple(map(tuple, p))] for p in prods.tolist()]
-                table.append(row)
+                buf = (arr[i] @ arr).tobytes()
+                table.append([keys[buf[k:k + size]]
+                              for k in range(0, n * size, size)])
             return table
         table = []
         for i, a in enumerate(self.elements):
@@ -342,10 +344,13 @@ class SubgroupClassification:
         return [c.representative for c in self.classes]
 
 
-def _subgroup_orbit(g, members):
+def _subgroup_orbit(g, members, gens=None):
+    """Orbit of a subgroup (member indices) under conjugation by the
+    subgroup generated by `gens` (default: all of g)."""
     orbit = {members}
     frontier = [members]
-    gens = g.generator_indices
+    if gens is None:
+        gens = g.generator_indices
     while frontier:
         s = frontier.pop()
         for x in gens:

@@ -585,7 +585,9 @@ def lll_reduce(rows):
     """LLL-reduce (Lovasz constant 3/4) linearly independent integer vectors.
 
     Returns (reduced rows, transform) with transform * rows_in = rows_out.
-    Exact rational Gram-Schmidt; fine for the small dimensions used here.
+    Exact rational Gram-Schmidt, computed once and updated in place on
+    each size reduction and swap (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.6.3).
     """
     b = [list(map(int, r)) for r in rows]
     n = len(b)
@@ -593,42 +595,49 @@ def lll_reduce(rows):
         return [list(r) for r in b], IntMat.identity(n)
     t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    def dot(x, y):
-        return sum(a * c for a, c in zip(x, y))
+    # mu[i][j] (j < i) and the squared norms bn[i] of the Gram-Schmidt
+    # vectors b*_i = b_i - sum_j mu[i][j] b*_j
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    bn = []
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (sum(x * y for x, y in zip(b[i], b[j]))
+                        - sum(mu[j][l] * mu[i][l] * bn[l]
+                              for l in range(j))) / bn[j]
+        bn.append(Fraction(sum(x * x for x in b[i]))
+                  - sum(mu[i][j] ** 2 * bn[j] for j in range(i)))
 
-    def gram():
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        bstar = [[Fraction(x) for x in b[0]]]
-        norms = [Fraction(dot(b[0], b[0]))]
-        for i in range(1, n):
-            vi = [Fraction(x) for x in b[i]]
-            for j in range(i):
-                mu[i][j] = (Fraction(dot(b[i], b[j])) -
-                            sum(mu[i][k] * mu[j][k] * norms[k] for k in range(j))) / norms[j] \
-                    if norms[j] else Fraction(0)
-                vi = [a - mu[i][j] * c for a, c in zip(vi, bstar[j])]
-            bstar.append(vi)
-            norms.append(sum(x * x for x in vi))
-        return mu, norms
+    def reduce(k, j):
+        q = round(mu[k][j])
+        if q:
+            b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+            t[k] = [x - q * y for x, y in zip(t[k], t[j])]
+            mu[k][j] -= q
+            for l in range(j):
+                mu[k][l] -= q * mu[j][l]
 
-    mu, norms = gram()
     k = 1
     while k < n:
-        # size reduction
-        for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q:
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                t[k] = [x - q * y for x, y in zip(t[k], t[j])]
-                for l in range(j + 1):
-                    mu[k][l] -= q * mu[j][l]
-        if norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
+        reduce(k, k - 1)
+        if bn[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bn[k - 1]:
+            for j in range(k - 2, -1, -1):
+                reduce(k, j)
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            t[k], t[k - 1] = t[k - 1], t[k]
-            mu, norms = gram()
-            k = max(k - 1, 1)
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        t[k], t[k - 1] = t[k - 1], t[k]
+        for j in range(k - 1):
+            mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
+        m = mu[k][k - 1]
+        new = bn[k] + m * m * bn[k - 1]
+        mu[k][k - 1] = m * bn[k - 1] / new
+        bn[k] = bn[k - 1] * bn[k] / new
+        bn[k - 1] = new
+        for i in range(k + 1, n):
+            x = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - m * x
+            mu[i][k - 1] = x + mu[k][k - 1] * mu[i][k]
+        k = max(k - 1, 1)
     return b, IntMat(t)
 
 

@@ -43,6 +43,7 @@ from .groups import (
     ProvablyDistinct,
     Subgroup,
     _is_cyclic,
+    _subgroup_orbit,
     all_subgroups,
 )
 
@@ -223,8 +224,11 @@ def sub_lattice_from_rows(p: GLattice, rows: IntMat, name=None):
 # ---------------------------------------------------------------------------
 
 def std_lattice(g: FiniteMatrixGroup, name=None) -> GLattice:
-    """The lattice the matrix group acts on tautologically."""
-    return GLattice(g, g.elements, name=name or (g.name and "std(%s)" % g.name))
+    """The lattice the matrix group acts on tautologically.  Not checked:
+    the action is the group's own elements, and the Cayley table is built
+    from exactly their products, so it is a homomorphism by construction."""
+    return GLattice(g, g.elements, check=False,
+                    name=name or (g.name and "std(%s)" % g.name))
 
 
 def trivial_lattice(g: FiniteMatrixGroup, rank=1) -> GLattice:
@@ -582,12 +586,43 @@ def is_coflasque(m: GLattice) -> bool:
 
 def tate_profile(m: GLattice):
     """Sorted multiset of the Tate invariants in degrees -1, 0, 1 over all
-    subgroup class reps (a conjugation-invariant fingerprint).  Degree 1
-    is degree -1 of the dual, built once."""
+    subgroup class reps (a conjugation-invariant fingerprint)."""
+    return subgroup_tate_profiles(m)[-1]
+
+
+def subgroup_tate_profiles(m: GLattice):
+    """tate_profile of m restricted to S, for every subgroup class rep S of
+    m.group; a list parallel to all_subgroups(m.group).classes.
+
+    Tate groups of the G-lattice m do not change under conjugation in G
+    (Brown, Cohomology of Groups, GTM 87, III.8), so each is computed once
+    per G-class.  The profile of S takes one entry per S-class of
+    subgroups of S: per S-orbit of the subgroups of G contained in S.
+    Degree 1 is degree -1 of the dual, built once.
+    """
+    g = m.group
+    classes = all_subgroups(g).classes
     md = dual(m)
-    return tuple(sorted((h.order, tate(m, h, -1).factors,
-                         tate(m, h, 0).factors, tate(md, h, -1).factors)
-                        for h in subgroup_class_reps(m.group)))
+    entries = []
+    class_of = {}
+    for cid, c in enumerate(classes):
+        h = c.representative
+        entries.append((h.order, tate(m, h, -1).factors,
+                        tate(m, h, 0).factors, tate(md, h, -1).factors))
+        for x in c.orbit:
+            class_of[x] = cid
+    profiles = []
+    for c in classes:
+        s = c.representative.members
+        gens = g.generating_set(s)
+        seen = set()
+        profile = []
+        for x, cid in class_of.items():
+            if x <= s and x not in seen:
+                seen |= _subgroup_orbit(g, x, gens)
+                profile.append(entries[cid])
+        profiles.append(tuple(sorted(profile)))
+    return profiles
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from glattice.catalog import (
     builtin_catalog,
     census,
     cyclotomic_companion_matrix,
+    cyclotomic_poly,
     entry,
     entry_by_gap_id,
     eta_matrix,
@@ -73,6 +74,28 @@ def test_cyclotomic_companion_orders():
         g = named_lattice("cyclotomic_companion", m).group
         assert g.order == m if m % 2 == 0 else 2 * m  # -1 is a power iff even
     assert cyclotomic_companion_matrix(8).charpoly() == (1, 0, 0, 0, 1)
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_poly_divisor_product():
+    for m in range(1, 61):
+        prod = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                prod = poly_mul(prod, cyclotomic_poly(d))
+        assert prod == [-1] + [0] * (m - 1) + [1]
+    assert cyclotomic_poly(12) == [1, 0, -1, 0, 1]
+    # 105 is the least m with a coefficient outside {-1, 0, 1}
+    assert all(c in (-1, 0, 1) for m in range(1, 105)
+               for c in cyclotomic_poly(m))
+    assert -2 in cyclotomic_poly(105)
 
 
 def test_named_lattice_orders():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from glattice import catalog
 from glattice.intlinalg import BudgetExhausted, IntMat
 from glattice.groups import (
     FiniteMatrixGroup,
@@ -89,6 +90,16 @@ def test_cayley_table_consistent():
             assert g.elements[g.table[i][j]] == g.elements[i] * g.elements[j]
     for i in range(g.order):
         assert g.table[i][g.inv[i]] == 0
+
+
+def test_cayley_table_matches_intmat_products():
+    # fresh closure, so the table is built here from the generators
+    g = closure(list(catalog.entry("dade-4-6").generators))
+    assert g.order == 240
+    elts = g.elements
+    for i, row in enumerate(g.table):
+        a = elts[i]
+        assert [elts[k] for k in row] == [a * b for b in elts]
 
 
 # ---------------------------------------------------------------------------

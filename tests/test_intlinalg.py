@@ -313,6 +313,39 @@ def test_lll_preserves_lattice(n, seed):
     assert t * a == IntMat(reduced)
 
 
+def gram_schmidt(rows):
+    """(mu, squared norms of b*_i), by the textbook recursion."""
+    n = len(rows)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    star, norms = [], []
+    for i in range(n):
+        v = [Fraction(x) for x in rows[i]]
+        for j in range(i):
+            mu[i][j] = sum(x * y for x, y in zip(rows[i], star[j])) / norms[j]
+            v = [a - mu[i][j] * c for a, c in zip(v, star[j])]
+        star.append(v)
+        norms.append(sum(x * x for x in v))
+    return mu, norms
+
+
+def test_lll_output_is_reduced():
+    rng = random.Random(1)
+    tried = 0
+    while tried < 200:
+        n = rng.randint(2, 6)
+        a = random_mat(rng, n, rng.randint(n, n + 3), -20, 20)
+        if 0 in gram_schmidt(a.data)[1]:
+            continue
+        tried += 1
+        reduced, t = lll_reduce(a.data)
+        assert t * a == IntMat(reduced)
+        mu, norms = gram_schmidt(reduced)
+        for k in range(1, n):
+            assert all(abs(mu[k][j]) <= Fraction(1, 2) for j in range(k))
+            lovasz = (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]
+            assert norms[k] >= lovasz
+
+
 def test_unimodular_search_respects_budget():
     # 10 x 10 all-even lattice: no unimodular element exists; search must
     # terminate and admit ignorance

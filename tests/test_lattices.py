@@ -41,6 +41,7 @@ from glattice.lattices import (
     sign_lattice,
     std_lattice,
     sub_lattice_from_rows,
+    subgroup_tate_profiles,
     tate,
     tate_profile,
     tensor,
@@ -302,6 +303,24 @@ def test_tate_profile_matches_tate(name):
                                      for k in (-1, 0, 1))
                   for h in all_subgroups(m.group).representatives())
     assert tate_profile(m) == tuple(want)
+
+
+@pytest.mark.parametrize("name", ["dade-2-1", "dade-3-2", "dade-3-3",
+                                  "z-3-7-4-3", "dade-4-6"])
+def test_subgroup_tate_profiles_match_dense(name):
+    # reference: each class rep S as a group of its own, its own subgroup
+    # classes and a fresh tate call on each
+    g = catalog.entry(name).group()
+    profiles = subgroup_tate_profiles(std_lattice(g))
+    reps = all_subgroups(g).representatives()
+    assert len(profiles) == len(reps)
+    for s, profile in zip(reps, profiles):
+        sg = s.as_group()
+        m = std_lattice(sg)
+        want = sorted((h.order,) + tuple(tate(m, h, k).factors
+                                         for k in (-1, 0, 1))
+                      for h in all_subgroups(sg).representatives())
+        assert profile == tuple(want)
 
 
 def test_regular_representation_cohomologically_trivial():
