@@ -12,6 +12,7 @@ matrix groups.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,7 +148,7 @@ class FiniteMatrixGroup:
                 frontier = [i]
                 while frontier:
                     x = frontier.pop()
-                    for g in range(self.order):
+                    for g in self.generator_indices:
                         y = t[t[g][x]][inv[g]]
                         if y not in orbit:
                             orbit.add(y)
@@ -159,11 +160,6 @@ class FiniteMatrixGroup:
 
     def mul(self, i, j):
         return self.table[i][j]
-
-    def conj(self, g, x):
-        """Index of elements[g] * elements[x] * elements[g]^-1."""
-        t = self.table
-        return t[t[g][x]][self.inv[g]]
 
     def conjugate_set(self, members, g):
         t, inv = self.table, self.inv
@@ -241,13 +237,23 @@ class Subgroup:
         return [self.parent.elements[i] for i in self.sorted_members]
 
     def as_group(self, name=None):
-        """The subgroup as a standalone FiniteMatrixGroup (same matrices)."""
-        elems = sorted((self.parent.elements[i] for i in self.members),
-                       key=lambda m: (m != IntMat.identity(self.parent.rank),
-                                      _sort_key(m)))
-        gens = self.generators()
-        gen_pos = [elems.index(self.parent.elements[i]) for i in gens]
-        return FiniteMatrixGroup(self.parent.rank, elems, gen_pos, name=name)
+        """The subgroup as a standalone FiniteMatrixGroup (same matrices).
+
+        The parent's element orders and characteristic polynomials, when
+        already computed, carry over to the new element numbering.
+        """
+        p = self.parent
+        ident = IntMat.identity(p.rank)
+        order = sorted(self.members, key=lambda i: (p.elements[i] != ident,
+                                                    _sort_key(p.elements[i])))
+        pos = {i: k for k, i in enumerate(order)}
+        sub = FiniteMatrixGroup(p.rank, [p.elements[i] for i in order],
+                                [pos[i] for i in self.generators()], name=name)
+        if p._orders is not None:
+            sub._orders = [p._orders[i] for i in order]
+        if p._charpolys is not None:
+            sub._charpolys = [p._charpolys[i] for i in order]
+        return sub
 
     def is_normal(self):
         g = self.parent
@@ -361,18 +367,32 @@ def _subgroup_orbit(g, members, gens=None):
     return orbit
 
 
+def _normalizer(g, members, gens):
+    """Elements x of g with x H x^-1 = H, for H = members generated by
+    gens: |gens| table lookups per element of g, not |H|."""
+    t, inv = g.table, g.inv
+    norm = list(range(g.order))
+    for s in gens:
+        norm = [x for x in norm if t[t[x][s]][inv[x]] in members]
+    return norm
+
+
 def all_subgroups(g: FiniteMatrixGroup) -> SubgroupClassification:
     """All subgroups of g, grouped into conjugacy classes.
 
-    Extension search over class representatives: every subgroup arises by
-    repeatedly adjoining one prime-power-order element, so extending each
-    known class representative by (normalizer-orbit representatives of)
-    such elements finds every class.  No solvability assumption.
+    Cyclic extension over class representatives (Neubueser; Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005): every
+    subgroup arises by repeatedly adjoining one prime-power-order element,
+    so extending each known class representative H by such elements finds
+    every class.  No solvability assumption.  <H, y> equals <H, x> for y
+    in a coset H x^k with k prime to the order of x, and is conjugate to
+    it for y an N(H)-conjugate of such an element, so one x per such
+    class is tried.  <H, x> is closed by right cosets of H.
     """
     if g._subgroups is not None:
         return g._subgroups
     n = g.order
-    t = g.table
+    t, inv = g.table, g.inv
     orders = g.element_orders
     pp_elements = [i for i in range(1, n) if _is_prime_power(orders[i])]
 
@@ -388,25 +408,45 @@ def all_subgroups(g: FiniteMatrixGroup) -> SubgroupClassification:
         hgens = class_gens[cid]
         if len(h) == n:
             continue
-        norm = [x for x in range(n) if g.conjugate_set(h, x) == h]
+        norm = _normalizer(g, h, hgens)
         norm_gens = g.generating_set(frozenset(norm)) if len(norm) > 1 else []
-        seen_x = set(h)
+        # elements whose extension is tried or conjugate to one tried: a
+        # union of right cosets of H, closed under N(H)-conjugation, so
+        # unseen elements have unseen conjugates and cosets
+        seen = bytearray(n)
+        for y in h:
+            seen[y] = 1
         for x in pp_elements:
-            if x in seen_x:
+            if seen[x]:
                 continue
-            # mark the whole N(H)-conjugacy orbit of x: all give conjugate
-            # (here: equal-class) extensions
-            orbit_x = {x}
-            fx = [x]
-            while fx:
-                y = fx.pop()
-                for s in norm_gens:
-                    z = g.conj(s, y)
-                    if z not in orbit_x:
-                        orbit_x.add(z)
-                        fx.append(z)
-            seen_x |= orbit_x
-            s = g.closure_indices(hgens + [x])
+            cyc = g.powers(x)
+            like_x = {y for k, y in enumerate(cyc)
+                      if math.gcd(k, len(cyc)) == 1 and not seen[y]}
+            frontier = list(like_x)
+            while frontier:
+                y = frontier.pop()
+                for a in norm_gens:
+                    z = t[t[a][y]][inv[a]]
+                    if z not in like_x:
+                        like_x.add(z)
+                        frontier.append(z)
+            for y in like_x:
+                if not seen[y]:
+                    for b in h:
+                        seen[t[b][y]] = 1
+            # <H, x> as a union of right cosets H y, y running over a
+            # breadth-first search by right multiplication with generators
+            members = set(h)
+            cosets = [0]
+            gens = hgens + [x]
+            for y in cosets:
+                row = t[y]
+                for a in gens:
+                    z = row[a]
+                    if z not in members:
+                        members.update(t[b][z] for b in h)
+                        cosets.append(z)
+            s = frozenset(members)
             if s in known:
                 continue
             orbit = _subgroup_orbit(g, s)
@@ -447,8 +487,7 @@ def sylow(g: FiniteMatrixGroup, p: int) -> Subgroup:
     gens = []
     orders = g.element_orders
     while len(members) < target:
-        norm = [x for x in range(n) if g.conjugate_set(members, x) == members]
-        x = next(i for i in norm
+        x = next(i for i in _normalizer(g, members, gens)
                  if i not in members and _is_power_of(orders[i], p))
         gens.append(x)
         members = g.closure_indices(gens)

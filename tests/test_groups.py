@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -11,6 +12,7 @@ from glattice.groups import (
     OrderCapExceeded,
     ProvablyDistinct,
     Subgroup,
+    _prime_factors,
     all_subgroups,
     closure,
     double_cosets,
@@ -250,3 +252,77 @@ def test_element_orders():
     orders = g.element_orders
     assert orders[0] == 1
     assert sorted(orders) == [1, 2, 2, 2, 2, 2, 4, 4]
+
+
+# ---------------------------------------------------------------------------
+# larger groups: subgroup lattice, Sylow, conjugacy classes, as_group
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, n_classes, n_subgroups", [
+    ("dade-4-6", 57, 535),     # order 240, not solvable
+    ("dade-4-8", 193, 1659),   # order 384
+    ("dade-4-9", 246, 5191),   # order 1152
+])
+def test_all_subgroups_larger_groups(name, n_classes, n_subgroups):
+    g = catalog.entry(name).group()
+    cls = all_subgroups(g)
+    assert len(cls.classes) == n_classes
+    assert cls.total_subgroups() == n_subgroups
+    seen = set()
+    for c in cls.classes:
+        assert c.representative.members == min(c.orbit, key=lambda m: tuple(sorted(m)))
+        for m in c.orbit:
+            assert m not in seen
+            seen.add(m)
+            for s in g.generator_indices:
+                assert g.conjugate_set(m, s) in c.orbit
+    assert len(seen) == n_subgroups
+
+
+# sha256 over the (representative, orbit) lists of every catalog group of
+# order <= 400: pins the exact output, element numbering included
+SUBGROUP_LATTICE_DIGEST = "cf4173d183b72934d8f6c056cb63aef4d2412f99ab35c1321ebf3c1e5636d6ae"
+
+
+def test_all_subgroups_catalog_digest():
+    digest = hashlib.sha256()
+    for e in catalog.builtin_catalog():
+        g = e.group()
+        if g.order > 400:
+            continue
+        cls = all_subgroups(g)
+        digest.update(e.name.encode())
+        digest.update(repr([(c.representative.sorted_members,
+                             tuple(tuple(sorted(m)) for m in c.orbit))
+                            for c in cls.classes]).encode())
+    assert digest.hexdigest() == SUBGROUP_LATTICE_DIGEST
+
+
+@pytest.mark.parametrize("name", ["dade-2-1", "dade-3-3", "dade-4-6", "dade-4-8"])
+def test_sylow_is_the_class_representative(name):
+    g = catalog.entry(name).group()
+    reps = all_subgroups(g).representatives()
+    for p in _prime_factors(g.order):
+        q = p
+        while g.order % (q * p) == 0:
+            q *= p
+        [rep] = [h for h in reps if h.order == q]
+        assert sylow(g, p) == rep
+
+
+def test_conj_class_of_matches_conjugation_by_all_elements():
+    g = catalog.entry("dade-4-8").group()
+    t, inv = g.table, g.inv
+    assert g.conj_class_of == [min(t[t[x][i]][inv[x]] for x in range(g.order))
+                               for i in range(g.order)]
+
+
+def test_as_group_carries_orders_and_charpolys():
+    g = catalog.entry("dade-4-6").group()
+    g.element_orders, g.charpolys  # computed on the parent, so carried over
+    for h in all_subgroups(g).representatives():
+        sub = h.as_group()
+        assert sub._orders is not None and sub._charpolys is not None
+        fresh = FiniteMatrixGroup(sub.rank, sub.elements, sub.generator_indices)
+        assert sub.element_orders == fresh.element_orders
+        assert sub.charpolys == fresh.charpolys
