@@ -20,8 +20,8 @@ import numpy as np
 from .intlinalg import (
     BudgetExhausted,
     IntMat,
+    _is_invertible_modp,
     intertwiner_basis,
-    rank_modp,
     unimodular_in_lattice,
 )
 
@@ -569,13 +569,11 @@ def structure_probe(g: FiniteMatrixGroup) -> StructureProbe:
     is_cyclic = any(o == n for o in orders)
     is_abelian = all(t[i][j] == t[j][i]
                      for i in g.generator_indices for j in g.generator_indices)
-    primes = _prime_factors(n)
-    syl_cyc = all(_is_cyclic(g, sylow(g, p).members) for p in primes)
     center = frozenset(i for i in range(n)
                        if all(t[i][s] == t[s][i] for s in g.generator_indices))
     normals = [c.representative for c in all_subgroups(g).classes
                if c.size == 1]
-    return StructureProbe(n, is_cyclic, is_abelian, syl_cyc,
+    return StructureProbe(n, is_cyclic, is_abelian, _sylows_all_cyclic(g),
                           Subgroup(g, center), normals)
 
 
@@ -583,6 +581,12 @@ def _is_cyclic(g, members):
     """Whether the subgroup given by its member indices is cyclic."""
     k = len(members)
     return any(g.element_orders[i] == k for i in members)
+
+
+def _sylows_all_cyclic(g):
+    """Whether every Sylow subgroup of g is cyclic."""
+    return all(_is_cyclic(g, sylow(g, p).members)
+               for p in _prime_factors(g.order))
 
 
 def _prime_factors(n):
@@ -779,7 +783,7 @@ def _det_obstructed_mod_p(basis):
             flat = [sum(c * f[k] for c, f in zip(coeffs, flats)) % p
                     for k in range(size * size)]
             m = [flat[i * size:(i + 1) * size] for i in range(size)]
-            if rank_modp(m, p) == size:
+            if _is_invertible_modp(m, p):
                 break
         else:
             return True

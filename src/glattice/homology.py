@@ -156,24 +156,6 @@ def _hom_coset_to_lat(h: Subgroup, n: GLattice):
             for u in fixed_sublattice(n, h).data]
 
 
-def _hom_lat_to_coset(group, m: GLattice, k: Subgroup):
-    """Basis of Hom_G(M, Z[G/K]): one map per basis vector w of (M*)^K,
-    with j-th coordinate v -> w(v * t_j^{-1})."""
-    reps, _ = coset_transversal(group, k)
-    inv = group.inv
-    fix = fixed_sublattice(dual(m), k)
-    out = []
-    for w in fix.data:
-        cols = []
-        for t in reps:
-            a = m.act(inv[t])
-            cols.append([sum(a.data[i][l] * w[l] for l in range(m.rank))
-                         for i in range(m.rank)])
-        rows = [[cols[j][i] for j in range(len(reps))] for i in range(m.rank)]
-        out.append(IntMat(rows) if rows else IntMat.zeros(0, len(reps)))
-    return out
-
-
 def hom_basis_parts(group, parts1, parts2):
     """Z-basis of Hom_G(+parts1, +parts2) assembled blockwise (coset parts
     use the adjunction formulas; lattice-lattice blocks use the generic
@@ -196,7 +178,9 @@ def hom_basis_parts(group, parts1, parts2):
             if isinstance(p1, Subgroup):
                 block_basis = _hom_coset_to_lat(p1, l2)
             elif isinstance(p2, Subgroup):
-                block_basis = _hom_lat_to_coset(group, l1, p2)
+                # Z[G/K] is self-dual: Hom_G(M, Z[G/K]) = Hom_G(Z[G/K], M*)^T
+                block_basis = [b.transpose()
+                               for b in _hom_coset_to_lat(p2, dual(l1))]
             else:
                 block_basis = hom_basis(l1, l2)
             for blk in block_basis:

@@ -3,9 +3,11 @@ Exact integer linear algebra.
 
 Dense matrices of arbitrary-precision Python integers, Smith and Hermite
 normal forms with transformation matrices, saturated kernel bases, cokernel
-invariant factors, integral linear solving, row reduction over F_p, LLL
-basis reduction, and a bounded search for unimodular elements of a lattice
-of square matrices.
+invariant factors, integral linear solving, row reduction and the
+invertibility test over F_p, LLL basis reduction, and a bounded search for
+unimodular elements of a lattice of square matrices.  That search and the
+orbit-basis assembly in `lattices` share one unimodularity screen: a
+stacked float determinant, then an exact one on the survivors.
 
 Everything here is immutable and pure; all downstream cohomology and
 isomorphism machinery reduces to these routines.
@@ -17,6 +19,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 
 class BudgetExhausted(Exception):
@@ -577,6 +581,12 @@ def rank_modp(rows, p):
     return len(_rref_modp(rows, p)[1])
 
 
+def _is_invertible_modp(rows, p):
+    """Whether the matrix with these rows is square and invertible over F_p."""
+    return (all(len(r) == len(rows) for r in rows)
+            and rank_modp(rows, p) == len(rows))
+
+
 # ---------------------------------------------------------------------------
 # LLL reduction (exact, on integer row vectors)
 # ---------------------------------------------------------------------------
@@ -645,31 +655,54 @@ def lll_reduce(rows):
 # Unimodular element search in a matrix lattice
 # ---------------------------------------------------------------------------
 
-def _make_unimodular_test(size):
-    """Determinant-is-+-1 test with a floating-point prescreen for larger
-    matrices (exact Bareiss only on near-unimodular candidates)."""
-    if size < 8:
-        return lambda m: m.det() in (1, -1)
-    import numpy as _np
+def _first_unimodular(stack, exact):
+    """The first exact(i) of determinant +-1, over the indices i whose
+    float matrix stack[i] passes |log|det|| < 0.5; None if there is none.
 
-    def test(m):
-        arr = _np.array(m.data, dtype=float)
-        sign, logdet = _np.linalg.slogdet(arr)
-        if sign == 0 or abs(logdet) > 0.5:
-            return False
-        return m.det() in (1, -1)
+    A unimodular integer matrix has log|det| = 0 up to rounding, so the
+    stacked float slogdet only decides which candidates get an exact
+    determinant."""
+    signs, logdets = np.linalg.slogdet(stack)
+    for i in np.flatnonzero((signs != 0) & (np.abs(logdets) < 0.5)):
+        m = exact(int(i))
+        if m.is_unimodular():
+            return m
+    return None
 
-    return test
+
+def _search_order(d, bound):
+    """Nonzero coefficient vectors in search order: the unit vectors, then
+    boxes of growing radius while (2r+1)^d fits both what is left of
+    `bound` and 3^12, then 20000 samples per radius from Random(0)."""
+    for k in range(d):
+        yield tuple(int(i == k) for i in range(d))
+    emitted = d
+    rng = random.Random(0)
+    radius = 1
+    while True:
+        n_box = (2 * radius + 1) ** d
+        if n_box <= bound - emitted and n_box <= 3 ** 12:
+            for c in itertools.product(range(-radius, radius + 1), repeat=d):
+                if any(c):
+                    yield c
+            emitted += n_box - 1
+        else:
+            for _ in range(20000):
+                c = [rng.randint(-radius, radius) for _ in range(d)]
+                if any(c):
+                    yield c
+        radius += 1
 
 
 def unimodular_in_lattice(basis, bound=20000):
     """Search the Z-span of `basis` (square IntMats of equal size) for an
     element of determinant +-1.
 
-    The flattened basis is LLL-reduced, then coefficient boxes of growing
-    radius are enumerated; `bound` counts determinant evaluations.  Returns
-    the element found, or None once the budget is exhausted ("unknown",
-    never "no").
+    The flattened basis is LLL-reduced and combined with the coefficient
+    vectors of `_search_order`, drawn in batches of 64 doubling to 4096
+    that go through one float determinant screen.  `bound` counts
+    determinant evaluations.  Returns the first element found, or None
+    once the budget is exhausted ("unknown", never "no").
     """
     basis = [m for m in basis if not m.is_zero()]
     if not basis:
@@ -685,99 +718,19 @@ def unimodular_in_lattice(basis, bound=20000):
         reduced, _ = lll_reduce(indep)
     else:
         reduced = indep
-    mats = [IntMat.from_flat(size, size, row) for row in reduced]
-    d = len(mats)
-
+    columns = list(zip(*reduced))
+    floats = np.array(reduced, dtype=float)
+    candidates = _search_order(len(reduced), bound)
     evals = 0
-    is_unimodular = _make_unimodular_test(size)
-
-    def check(coeffs):
-        nonlocal evals
-        m = None
-        for c, bm in zip(coeffs, mats):
-            if c == 0:
-                continue
-            term = bm.scale(c)
-            m = term if m is None else m + term
-        if m is None:
-            return None
-        evals += 1
-        if is_unimodular(m):
-            return m
-        return None
-
-    # single basis elements first
-    for bm in mats:
-        if evals >= bound:
-            return None
-        if is_unimodular(bm):
-            return bm
-        evals += 1
-
-    # for larger matrices, prescreen whole coefficient batches through a
-    # stacked float slogdet; only near-unimodular candidates get an exact
-    # determinant
-    batched = size >= 8
-
-    def check_batch(coeff_rows):
-        nonlocal evals
-        import numpy as _np
-        arr = _np.array(coeff_rows, dtype=float) @ stack.reshape(d, -1)
-        arr = arr.reshape(len(coeff_rows), size, size)
-        signs, logdets = _np.linalg.slogdet(arr)
-        evals += len(coeff_rows)
-        for i in _np.nonzero((signs != 0) & (_np.abs(logdets) < 0.5))[0]:
-            m = None
-            for c, bm in zip(coeff_rows[i], mats):
-                if c:
-                    term = bm.scale(int(c))
-                    m = term if m is None else m + term
-            if m is not None and m.det() in (1, -1):
-                return m
-        return None
-
-    if batched:
-        import numpy as _np
-        stack = _np.array([[x for row in m.data for x in row]
-                           for m in mats], dtype=float).reshape(d, size, size)
-
-    radius = 1
-    rng = random.Random(0)
+    batch = 64
     while evals < bound:
-        n_box = (2 * radius + 1) ** d
-        if n_box <= max(bound - evals, 0) and n_box <= 3 ** 12:
-            it = itertools.product(range(-radius, radius + 1), repeat=d)
-            if batched:
-                rows = [c for c in it if any(c)]
-                for k in range(0, len(rows), 4096):
-                    hit = check_batch(rows[k:k + 4096])
-                    if hit is not None:
-                        return hit
-                    if evals >= bound:
-                        return None
-            else:
-                for coeffs in it:
-                    hit = check(coeffs)
-                    if hit is not None:
-                        return hit
-                    if evals >= bound:
-                        return None
-            radius += 1
-        else:
-            # box too large: randomized sampling at this radius
-            n_rand = min(bound - evals, 20000 if batched else 2000)
-            if batched:
-                rows = [[rng.randint(-radius, radius) for _ in range(d)]
-                        for _ in range(n_rand)]
-                for k in range(0, len(rows), 4096):
-                    hit = check_batch(rows[k:k + 4096])
-                    if hit is not None:
-                        return hit
-            else:
-                for _ in range(n_rand):
-                    coeffs = [rng.randint(-radius, radius) for _ in range(d)]
-                    hit = check(coeffs)
-                    if hit is not None:
-                        return hit
-            radius += 1
+        coeffs = list(itertools.islice(candidates, min(batch, bound - evals)))
+        evals += len(coeffs)
+        stack = (np.array(coeffs, dtype=float) @ floats).reshape(-1, size, size)
+        hit = _first_unimodular(stack, lambda i: IntMat.from_flat(
+            size, size, [sum(c * x for c, x in zip(coeffs[i], col))
+                         for col in columns]))
+        if hit is not None:
+            return hit
+        batch = min(2 * batch, 4096)
     return None

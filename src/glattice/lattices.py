@@ -31,6 +31,7 @@ from .intlinalg import (
     BudgetExhausted,
     IntMat,
     TRIVIAL_GROUP,
+    _first_unimodular,
     cokernel_invariants,
     hnf,
     intertwiner_basis,
@@ -569,19 +570,17 @@ def _drop_free(inv: AbelianInvariants) -> AbelianInvariants:
     return inv
 
 
-def subgroup_class_reps(g: FiniteMatrixGroup):
-    return all_subgroups(g).representatives()
-
-
 def is_flasque(m: GLattice) -> bool:
     """H^-1(H, M) = 0 for one representative per subgroup conjugacy class."""
-    return all(tate(m, h, -1).is_trivial() for h in subgroup_class_reps(m.group))
+    return all(tate(m, h, -1).is_trivial()
+               for h in all_subgroups(m.group).representatives())
 
 
 def is_coflasque(m: GLattice) -> bool:
     """H^1(H, M) = 0 for one representative per subgroup conjugacy class."""
     md = dual(m)
-    return all(tate(md, h, -1).is_trivial() for h in subgroup_class_reps(m.group))
+    return all(tate(md, h, -1).is_trivial()
+               for h in all_subgroups(m.group).representatives())
 
 
 def tate_profile(m: GLattice):
@@ -653,7 +652,7 @@ def find_isomorphism(m: GLattice, n: GLattice, budget=20000) -> EquivariantMap:
         return EquivariantMap(m, n, IntMat.zeros(0, 0))
     if m.character() != n.character():
         raise ProvablyDistinct("character mismatch")
-    for h in subgroup_class_reps(m.group):
+    for h in all_subgroups(m.group).representatives():
         if not _is_cyclic(m.group, h.members):
             continue
         for k in (-1, 0):
@@ -833,8 +832,9 @@ def _assemble_basis(orbits, rank, points):
     linearly independent mod 2 (a unimodular matrix is invertible over
     F_2; any rank of the points of J_X form a basis), which collapses the
     combinatorics when many orbits share a size.  Surviving complete
-    selections get a float determinant prescreen and an exact check only
-    on near-unimodular hits; the search gives up after 100000 of them."""
+    selections go through the unimodularity screen of
+    `intlinalg._first_unimodular`; the search gives up after 100000 of
+    them."""
     orbits = sorted(orbits, key=lambda o: (-len(o), o))
     masks = [[sum((x & 1) << i for i, x in enumerate(v)) for v in o]
              for o in orbits]
@@ -863,10 +863,8 @@ def _assemble_basis(orbits, rank, points):
             if points > rank and any(map(sum, zip(*rows))):
                 return None
             square = rows[:rank]
-            sign, logdet = np.linalg.slogdet(np.array(square, dtype=float))
-            if sign == 0 or abs(logdet) > 0.5:
-                return None
-            if IntMat(square).det() in (1, -1):
+            if _first_unimodular(np.array([square], dtype=float),
+                                 lambda i: IntMat(square)) is not None:
                 return rows
             return None
         if i == len(orbits) or tries[0] > 100000:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .intlinalg import _rref_modp, rank_modp
+from .intlinalg import _is_invertible_modp, _rref_modp, rank_modp
 from .groups import (
     FiniteMatrixGroup,
     Subgroup,
@@ -77,10 +77,6 @@ def _mat_mul_modp(a, b, p):
             for row in a]
 
 
-def _is_invertible_modp(rows, p):
-    return len(rows) == len(rows[0]) and rank_modp(rows, p) == len(rows)
-
-
 def _fixed_basis(mats, dim, p):
     """Basis of the row vectors v with v * a = v for every a in mats."""
     if not mats:
@@ -110,7 +106,7 @@ class ModpModule:
         t = self.group.table
         for s in self.group.generator_indices:
             assert _is_invertible_modp([list(r) for r in self.action[s]],
-                                       self.p) or self.dim == 0
+                                       self.p)
             for x in range(self.group.order):
                 got = _mat_mul_modp([list(r) for r in self.action[x]],
                                     [list(r) for r in self.action[s]], self.p)

@@ -40,6 +40,7 @@ from .groups import (
     Subgroup,
     _is_cyclic,
     _prime_factors,
+    _sylows_all_cyclic,
     all_subgroups,
     closure,
     sylow,
@@ -416,14 +417,6 @@ class NormOneSpec:
         ident = tuple(range(x.points))
         return frozenset(i for i in range(self.g.order)
                          if x.perms[i] == ident)
-
-
-def _sylows_all_cyclic(g: FiniteMatrixGroup):
-    for p in _prime_factors(g.order):
-        s = sylow(g, p)
-        if not _is_cyclic(g, s.members):
-            return False
-    return True
 
 
 def _is_nilpotent(g: FiniteMatrixGroup):

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
-from glattice.intlinalg import IntMat
+from glattice import groups
+from glattice.intlinalg import IntMat, unimodular_in_lattice
 from glattice.catalog import (
     BUILDERS,
     DIM2_CLASS_COUNT,
@@ -253,6 +255,24 @@ def test_census_root_order_independent():
 def test_census_dim3():
     rep = census(DIM3_ROOTS)
     assert rep.count == DIM3_CLASS_COUNT == 73
+
+
+def test_census_dim3_conjugating_matrices_are_pinned(monkeypatch):
+    # The first unimodular intertwiner found for each conjugacy test of
+    # the dim-3 census, so that a change to the search order or to the
+    # determinant screen shows.
+    found = []
+
+    def record(basis, bound):
+        x = unimodular_in_lattice(basis, bound=bound)
+        found.append(None if x is None else x.data)
+        return x
+
+    monkeypatch.setattr(groups, "unimodular_in_lattice", record)
+    census(DIM3_ROOTS)
+    assert len(found) == 55 and None not in found
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == (
+        "585d00c094c3f47b3c23357cd7f05e330ecff1854f5850a962ae2663b63b6c39")
 
 
 def test_census_dim3_rational_union():

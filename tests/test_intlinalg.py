@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -347,7 +348,25 @@ def test_lll_output_is_reduced():
 
 
 def test_unimodular_search_respects_budget():
-    # 10 x 10 all-even lattice: no unimodular element exists; search must
+    # 6 x 6 all-even lattice: no unimodular element exists; search must
     # terminate and admit ignorance
     basis = [IntMat.identity(6).scale(2)]
     assert unimodular_in_lattice(basis, bound=50) is None
+
+
+def test_unimodular_search_screens_exactly_its_budget(monkeypatch):
+    # every element of this lattice has even determinant, so each search
+    # runs out: through the boxes, then the random samples
+    screened = []
+    slogdet = np.linalg.slogdet
+
+    def counting(stack):
+        screened.append(len(stack))
+        return slogdet(stack)
+
+    monkeypatch.setattr(np.linalg, "slogdet", counting)
+    basis = [IntMat([[2, 0], [0, 1]]), IntMat([[0, 1], [2, 0]])]
+    for bound in (1, 50, 5000):
+        screened.clear()
+        assert unimodular_in_lattice(basis, bound=bound) is None
+        assert sum(screened) == bound

@@ -10,6 +10,7 @@ from glattice.intlinalg import (
     IntMat,
     kernel_basis,
     solve_left,
+    unimodular_in_lattice,
 )
 from glattice.groups import ProvablyDistinct, all_subgroups, closure, double_cosets
 from glattice.lattices import (
@@ -508,6 +509,20 @@ def test_find_isomorphism_twisted():
         n = twist(m, u)
         f = find_isomorphism(m, n)
         assert f.check() and f.matrix.det() in (1, -1)
+
+
+def test_unimodular_search_finds_a_rank_eight_isomorphism():
+    # M = Z[S3/C2]^2 + Z[S3/C3] has rank 8 and N = M twisted by u is
+    # isomorphic to it, so Hom_G(M, N) holds a unimodular map.
+    c2, c3 = (next(h for h in all_subgroups(S3).representatives()
+                   if h.order == k) for k in (2, 3))
+    m = direct_sum(direct_sum(coset_lattice(S3, c2), coset_lattice(S3, c2)),
+                   coset_lattice(S3, c3))
+    assert m.rank == 8
+    n = twist(m, random_unimodular(random.Random(0), 8, steps=40))
+    x = unimodular_in_lattice(hom_basis(m, n))
+    assert x is not None and x.is_unimodular()
+    assert EquivariantMap(m, n, x).check()
 
 
 def test_find_isomorphism_provably_distinct():

@@ -59,12 +59,17 @@ def test_imports_go_down_the_layers_at_module_top():
     bad = []
     for layer in LAYERS:
         tree = ast.parse((SRC / (layer + ".py")).read_text("utf-8"))
-        top = {id(node) for node in tree.body}
         for node, target in _package_imports(tree):
             where = "%s.py:%d" % (layer, node.lineno)
             if LAYERS.index(target) >= LAYERS.index(layer):
                 bad.append("%s imports %s, not a lower layer"
                            % (where, target))
-            if id(node) not in top:
-                bad.append("%s imports %s inside a function" % (where, target))
+    imports = (ast.Import, ast.ImportFrom)
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text("utf-8")).body:
+            if not isinstance(top, imports):
+                bad.extend("%s:%d import not at module top"
+                           % (path.name, node.lineno)
+                           for node in ast.walk(top)
+                           if isinstance(node, imports))
     assert bad == []
