@@ -15,11 +15,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .intlinalg import (
     BudgetExhausted,
     IntMat,
+    _fits_int64,
+    _int_array,
     _is_invertible_modp,
     intertwiner_basis,
     unimodular_in_lattice,
@@ -88,10 +88,10 @@ class FiniteMatrixGroup:
         n = self.order
         r = self.rank
         maxabs = max(m.max_abs() for m in self.elements)
-        if n * r > 0 and maxabs < 2 ** 20:
-            # each row's products in one buffer, sliced into per-element
-            # byte keys
-            arr = np.array([m.data for m in self.elements], dtype=np.int64)
+        if n * r > 0 and _fits_int64(r, maxabs, maxabs):
+            # each row's products in one int64 buffer, sliced into
+            # per-element byte keys; the bound holds for every pair
+            arr = _int_array([m.data for m in self.elements])
             keys = {a.tobytes(): i for i, a in enumerate(arr)}
             size = r * r * arr.itemsize
             table = []

@@ -16,7 +16,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .intlinalg import (
     IntMat,
@@ -94,14 +94,17 @@ def verify_exact(cert: ExactSequenceCert, explain=False):
     pi = cert.surj.matrix
     if a.rank and not (ji * pi).is_zero():
         return fail("composition nonzero")
-    if a.rank and hnf(ji).rank != a.rank:
-        return fail("injection not injective")
+    im = IntMat.zeros(0, b.rank)
+    if a.rank:
+        fj = hnf(ji)
+        if fj.rank != a.rank:
+            return fail("injection not injective")
+        im = fj.h
     if c.rank:
         cok = cokernel_invariants(pi, c.rank)
         if not (cok.free_rank == 0 and cok.is_trivial()):
             return fail("surjection not onto")
     ker = kernel_basis(pi)
-    im = hnf(ji).h if a.rank else IntMat.zeros(0, b.rank)
     kerh = hnf(ker).h if ker.rows else IntMat.zeros(0, b.rank)
     im_rows = [r for r in im.data if any(r)]
     ker_rows = [r for r in kerh.data if any(r)]
@@ -521,13 +524,18 @@ class ObstructionWitness:
     infeasibility_proof: tuple       # Fractions, one per equation
 
     def verify(self) -> bool:
-        c = self.infeasibility_proof
-        for row in self.equations.data:
-            total = sum(Fraction(x) * y for x, y in zip(row, c))
-            if total.denominator != 1:
-                return False
-        total = sum(Fraction(x) * y for x, y in zip(self.rhs, c))
-        return total.denominator != 1
+        """equations * c is integral and rhs . c is not, for the proof c;
+        in integers, as c' = D c over the common denominator D: every
+        equation row . c' is 0 mod D and rhs . c' is not."""
+        c = [Fraction(x) for x in self.infeasibility_proof]
+        d = lcm(*(x.denominator for x in c))
+        scaled = [x.numerator * (d // x.denominator) for x in c]
+
+        def dot(row):
+            return sum(x * y for x, y in zip(row, scaled))
+
+        return (all(dot(row) % d == 0 for row in self.equations.data)
+                and dot(self.rhs) % d != 0)
 
 
 def _h0_system(f: GLattice):

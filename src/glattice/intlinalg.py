@@ -9,6 +9,10 @@ unimodular elements of a lattice of square matrices.  That search and the
 orbit-basis assembly in `lattices` share one unimodularity screen: a
 stacked float determinant, then an exact one on the survivors.
 
+Every integer matrix product that leaves Python goes through one guard,
+`_int_matmul`: numpy int64 when no partial sum can overflow, Python
+integers otherwise.
+
 Everything here is immutable and pure; all downstream cohomology and
 isomorphism machinery reduces to these routines.
 """
@@ -50,6 +54,17 @@ class IntMat:
     @staticmethod
     def identity(n):
         return IntMat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+    @staticmethod
+    def _wrap(data, cols):
+        """The IntMat on `data`, a tuple of tuples of int with `cols`
+        entries each, taken as it is."""
+        out = object.__new__(IntMat)
+        out.data = data
+        out.rows = len(data)
+        out.cols = cols
+        out._hash = None
+        return out
 
     @staticmethod
     def zeros(m, n):
@@ -128,9 +143,13 @@ class IntMat:
         assert self.cols == other.rows, (self.shape, other.shape)
         if not (self.rows and self.cols):
             return IntMat.zeros(self.rows, other.cols)
+        if self.rows * self.cols * other.cols >= _NUMPY_MUL_SIZE:
+            prod = _int_matmul(_int_array(self.data), _int_array(other.data))
+            return IntMat._wrap(tuple(map(tuple, prod.tolist())), other.cols)
         bt = list(zip(*other.data))
-        return IntMat([[sum(a * b for a, b in zip(row, col)) for col in bt]
-                       for row in self.data])
+        return IntMat._wrap(tuple(tuple(sum(a * b for a, b in zip(row, col))
+                                        for col in bt) for row in self.data),
+                            other.cols)
 
     __matmul__ = __mul__
 
@@ -240,6 +259,48 @@ class IntMat:
                 m = IntMat([[m.data[i][j] + (c if i == j else 0) for j in range(n)]
                             for i in range(n)])
         return tuple(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# exact products in numpy
+# ---------------------------------------------------------------------------
+
+# IntMat products with at least this many scalar multiplications go
+# through numpy; below it the conversions cost more than they save
+_NUMPY_MUL_SIZE = 64
+
+
+def _int_array(rows):
+    """Integer matrix, or stack of them, as an int64 array when every entry
+    fits, otherwise as an object array of Python ints.  Arrays pass."""
+    if isinstance(rows, np.ndarray):
+        return rows
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
+def _max_abs(a):
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def _fits_int64(inner, max_a, max_b):
+    """Whether a product with `inner` terms per entry and factors bounded
+    by max_a and max_b is exact in int64: every partial sum is at most
+    inner * max_a * max_b in absolute value."""
+    return inner * max_a * max_b < 2 ** 63
+
+
+def _int_matmul(a, b):
+    """Exact a @ b for integer matrices or stacks of them (numpy matmul
+    shapes, rows or arrays from _int_array): an int64 array when
+    _fits_int64, otherwise an object array computed in Python ints."""
+    a, b = _int_array(a), _int_array(b)
+    if (a.dtype == np.int64 and b.dtype == np.int64
+            and _fits_int64(a.shape[-1], _max_abs(a), _max_abs(b))):
+        return a @ b
+    return a.astype(object) @ b.astype(object)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,8 @@ from .intlinalg import (
     IntMat,
     TRIVIAL_GROUP,
     _first_unimodular,
+    _int_array,
+    _int_matmul,
     cokernel_invariants,
     hnf,
     intertwiner_basis,
@@ -65,7 +67,8 @@ class GLattice:
     I_X (x) I_Y; None otherwise.
     """
 
-    __slots__ = ("group", "rank", "_action", "name", "construction")
+    __slots__ = ("group", "rank", "_action", "name", "construction",
+                 "_cyclic_tate")
 
     def __init__(self, group: FiniteMatrixGroup, action, name=None, check=True):
         self.group = group
@@ -74,17 +77,14 @@ class GLattice:
         self.rank = self._action[0].rows if self._action else 0
         self.name = name
         self.construction = None
+        self._cyclic_tate = []  # filled by _cyclic_tate_groups
         if check and group.order > 1:
             self._check_on_generators()
 
     def _check_on_generators(self):
         assert self._action[0] == IntMat.identity(self.rank)
-        t = self.group.table
-        for s in self.group.generator_indices:
-            a_s = self._action[s]
-            for x in range(self.group.order):
-                assert self._action[t[x][s]] == self._action[x] * a_s, \
-                    "action is not a homomorphism"
+        assert self.rank == 0 or _respects_table(
+            self.group, _action_array(self)), "action is not a homomorphism"
 
     def check_full_table(self):
         """Homomorphism property over the full Cayley table (slow; tests)."""
@@ -119,6 +119,24 @@ class GLattice:
         return "GLattice(rank=%d over order-%d group%s)" % (
             self.rank, self.group.order,
             ", name=%r" % self.name if self.name else "")
+
+
+def _respects_table(group: FiniteMatrixGroup, acts, p=None) -> bool:
+    """act(x) act(s) = act(xs), mod p when p is given, for every element x
+    and generator s; acts holds the matrices of all elements as one
+    (order, r, r) array with r > 0.  One product per generator: the
+    stacked matrices of all elements times act(s), against the matrices
+    of the Cayley-table column of s."""
+    n, r = acts.shape[0], acts.shape[1]
+    stacked = acts.reshape(n * r, r)
+    t = group.table
+    for s in group.generator_indices:
+        got = _int_matmul(stacked, acts[s]).reshape(n, r, r)
+        if p is not None:
+            got = got % p
+        if not (got == acts[[t[x][s] for x in range(n)]]).all():
+            return False
+    return True
 
 
 def _action_from_generators(group: FiniteMatrixGroup, gen_images):
@@ -517,10 +535,14 @@ def fixed_sublattice(m: GLattice, h: Subgroup) -> IntMat:
 
 
 def norm_matrix(m: GLattice, h: Subgroup) -> IntMat:
-    total = IntMat.zeros(m.rank, m.rank)
-    for i in sorted(h.members):
-        total = total + m.act(i)
-    return total
+    """Sum of act(g) over g in h, as the product of a row of ones with the
+    flattened matrices."""
+    r = m.rank
+    if r == 0:
+        return IntMat.zeros(0, 0)
+    acts = _int_array([m.act(i).data for i in h.members])
+    total = _int_matmul([[1] * h.order], acts.reshape(h.order, r * r))
+    return IntMat.from_flat(r, r, total[0].tolist())
 
 
 def _augmentation_image(m: GLattice, h: Subgroup) -> IntMat:
@@ -563,6 +585,30 @@ def tate(m: GLattice, h: Subgroup, k: int) -> AbelianInvariants:
     x = solve_left(ker, IntMat(sel)) if sel else IntMat.zeros(0, ker.rows)
     assert x is not None
     return _drop_free(cokernel_invariants(x, ker.rows))
+
+
+def _cyclic_tate_groups(m: GLattice):
+    """Yield H^-1(C, M) and then H^-1(C, M*) = H^1(C, M) for each
+    nontrivial cyclic subgroup class rep C in turn.
+
+    Each group is computed the first time some caller reaches it and kept
+    on m, so callers that stop early (the recognizers' pre-screens) share
+    one table per lattice and pay only for the prefix they read.
+    """
+    g = m.group
+    reps = [h for h in all_subgroups(g).representatives()
+            if h.order > 1 and _is_cyclic(g, h.members)]
+    table = m._cyclic_tate
+    md = None
+    for i in range(2 * len(reps)):
+        if i == len(table):
+            if i % 2 == 0:
+                table.append(tate(m, reps[i // 2], -1))
+            else:
+                if md is None:
+                    md = dual(m)
+                table.append(tate(md, reps[i // 2], -1))
+        yield table[i]
 
 
 def _drop_free(inv: AbelianInvariants) -> AbelianInvariants:
@@ -679,11 +725,46 @@ class PermutationWitness:
     gset: GSet
     map: EquivariantMap          # from perm_lattice(gset) onto m
 
+    def verify(self, m: GLattice) -> bool:
+        """The basis map.matrix is unimodular and each generator of G
+        sends its row i to row gset.perms[s][i] of it (exact integers)."""
+        x = self.gset
+        return (x.group is m.group and x.points == m.rank
+                and _permutes_basis(m, self.map.matrix,
+                                    [[(j, 1) for j in p] for p in x.perms]))
+
 
 @dataclass
 class SignPermutationWitness:
     basis: IntMat                # rows permuted up to sign by the action
     signed_perms: tuple          # per element: tuple of (image index, sign)
+
+    def verify(self, m: GLattice) -> bool:
+        """The basis is unimodular and each generator of G sends its row i
+        to sign * row j, (j, sign) = signed_perms[s][i] (exact integers)."""
+        return (len(self.signed_perms) == m.group.order
+                and _permutes_basis(m, self.basis, self.signed_perms))
+
+
+def _permutes_basis(m: GLattice, basis: IntMat, images) -> bool:
+    """basis is a unimodular rank x rank matrix and, for every generator s,
+    row i of basis * act(s) is sign * row j of basis, (j, sign) =
+    images[s][i]; in Python integers, independent of the search."""
+    r = m.rank
+    if basis.shape != (r, r) or not basis.is_unimodular():
+        return False
+    rows = basis.data
+    for s in m.group.generator_indices:
+        if len(images[s]) != r:
+            return False
+        cols = list(zip(*m.act(s).data))
+        for row, (j, sign) in zip(rows, images[s]):
+            if not (0 <= j < r and sign in (1, -1)):
+                return False
+            if any(sum(x * y for x, y in zip(row, col)) != sign * t
+                   for col, t in zip(cols, rows[j])):
+                return False
+    return True
 
 
 def _short_vectors(rank, radius):
@@ -693,12 +774,12 @@ def _short_vectors(rank, radius):
 
 
 def _action_array(m: GLattice):
-    return np.array([a.data for a in m.action], dtype=np.int64)
+    return _int_array([a.data for a in m.action])
 
 
 def _row_images(m: GLattice, rows):
-    """[g][i] = rows[i] * act(g) as a tuple, from one numpy product."""
-    imgs = np.array(rows, dtype=np.int64) @ _action_array(m)
+    """[g][i] = rows[i] * act(g) as a tuple, from one product."""
+    imgs = _int_matmul(rows, _action_array(m))
     return [list(map(tuple, img)) for img in imgs.tolist()]
 
 
@@ -712,22 +793,39 @@ def _gset_of_rows(m: GLattice, rows) -> GSet:
 def recognize_permutation(m: GLattice, budget=200000):
     """Search for a Z-basis permuted by the action.
 
-    Enumerates candidate vectors of sup-norm <= 3 in increasing
+    Pre-screen: a permutation lattice has H^-1(C, M) = H^1(C, M) = 0 for
+    every cyclic subgroup C, since by Shapiro's lemma and Mackey's formula
+    both are sums of H^-1 and H^1 of subgroups of C with coefficients in
+    Z, which vanish (Brown, Cohomology of Groups, GTM 87, III.5-III.6).
+    A lattice that fails this gets None without a search.
+
+    Otherwise enumerates candidate vectors of sup-norm <= 3 in increasing
     radius, collects full G-orbits of size <= rank, and looks for a union
     of orbits forming a unimodular basis.  Returns a PermutationWitness or
     None ("unknown": the search is sound but not complete).
     """
+    if not all(inv.is_trivial() for inv in _cyclic_tate_groups(m)):
+        return None
     basis_rows = _orbit_basis_search(m, budget, False, m.rank)
     if basis_rows is None:
         return None
     gset = _gset_of_rows(m, basis_rows)
-    f = EquivariantMap(perm_lattice(gset), m, IntMat(basis_rows))
-    assert f.check()
-    return PermutationWitness(gset, f)
+    w = PermutationWitness(
+        gset, EquivariantMap(perm_lattice(gset), m, IntMat(basis_rows)))
+    assert w.verify(m)
+    return w
 
 
 def recognize_sign_permutation(m: GLattice, budget=200000):
-    """Like recognize_permutation but the basis may be permuted up to sign."""
+    """Like recognize_permutation but the basis may be permuted up to sign.
+
+    Pre-screen: a sign-permutation lattice is a sum of lattices induced
+    from rank-one sign lattices, so H^-1(C, M) and H^1(C, M) are sums of
+    H^-1(D, Z) = 0 and H^-1(D, Z^-) = Z/2 over subgroups D of C (Brown,
+    GTM 87, III.5-III.6): of exponent <= 2 for every cyclic C.
+    """
+    if not all(set(inv.factors) <= {2} for inv in _cyclic_tate_groups(m)):
+        return None
     basis_rows = _orbit_basis_search(m, budget, True, m.rank)
     if basis_rows is None:
         return None
@@ -737,7 +835,9 @@ def recognize_sign_permutation(m: GLattice, budget=200000):
         pos[tuple(-x for x in r)] = (i, -1)
     signed = tuple(tuple(pos[w] for w in img)
                    for img in _row_images(m, basis_rows))
-    return SignPermutationWitness(IntMat(basis_rows), signed)
+    w = SignPermutationWitness(IntMat(basis_rows), signed)
+    assert w.verify(m)
+    return w
 
 
 def _orbit_basis_search(m: GLattice, budget, up_to_sign, points):
@@ -754,41 +854,52 @@ def _orbit_basis_search(m: GLattice, budget, up_to_sign, points):
     pool_cap = 300
     seen_vecs = set()
     spent = 0
+    n = m.group.order
+    # spread[i, g * rank + j] = act(g)[i, j], so v @ spread holds the
+    # images v * act(g) one after another
     acts = _action_array(m)
+    spread = acts.transpose(1, 0, 2).reshape(rank, n * rank)
+    # vectors per product, so that one chunk's images stay near 2^15
+    # entries
+    chunk = max(1, 2 ** 15 // (n * rank))
 
-    def collect(rows):
+    def collect(vecs):
         nonlocal spent
-        for row in rows:
-            v = tuple(row)
-            if not any(v) or v in seen_vecs:
+        for start in range(0, len(vecs), chunk):
+            # images of the vectors not yet seen, in one product; a vector
+            # may still turn up in the orbit of one before it
+            part = [v for v in map(tuple, vecs[start:start + chunk].tolist())
+                    if any(v) and v not in seen_vecs]
+            if not part:
                 continue
-            spent += 1
-            if spent > budget:
-                return True
-            imgs = np.tensordot(np.array(v, dtype=np.int64), acts,
-                                axes=(0, 1))
-            keys = set(map(tuple, imgs.tolist()))
-            if up_to_sign:
-                keys = {max(w, tuple(-x for x in w)) for w in keys}
-            orb = sorted(keys)
-            for w in orb:
-                seen_vecs.add(w)
+            imgs = _int_matmul(part, spread).reshape(len(part), n, rank)
+            for v, img in zip(part, imgs):
+                if v in seen_vecs:
+                    continue
+                spent += 1
+                if spent > budget:
+                    return True
+                keys = set(map(tuple, img.tolist()))
                 if up_to_sign:
-                    seen_vecs.add(tuple(-x for x in w))
-            if len(orb) > points or per_size.get(len(orb), 0) >= pool_cap:
-                continue
-            per_size[len(orb)] = per_size.get(len(orb), 0) + 1
-            orbits.append(orb)
+                    keys = {max(w, tuple(-x for x in w)) for w in keys}
+                orb = sorted(keys)
+                for w in orb:
+                    seen_vecs.add(w)
+                    if up_to_sign:
+                        seen_vecs.add(tuple(-x for x in w))
+                if len(orb) > points or per_size.get(len(orb), 0) >= pool_cap:
+                    continue
+                per_size[len(orb)] = per_size.get(len(orb), 0) + 1
+                orbits.append(orb)
         return False
 
     def box_rows(basis_rows, radius):
         # all nonzero integer combinations of the basis rows with
         # coefficients of sup-norm <= radius, shortest first
-        coeffs = np.array(list(_short_vectors(len(basis_rows), radius)),
-                          dtype=np.int64)
-        vecs = coeffs @ np.array(basis_rows, dtype=np.int64)
-        norms = (vecs * vecs).sum(axis=1)
-        return vecs[np.argsort(norms, kind="stable")].tolist()
+        coeffs = _int_array(list(_short_vectors(len(basis_rows), radius)))
+        vecs = _int_matmul(coeffs, basis_rows)
+        norms = _int_matmul(vecs[:, None, :], vecs[:, :, None]).reshape(-1)
+        return vecs[np.argsort(norms, kind="stable")]
 
     # A vector whose orbit fits among `points` vectors has a stabilizer of
     # index <= points, so it lies in the fixed sublattice of some subgroup

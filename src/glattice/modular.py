@@ -31,7 +31,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .intlinalg import _is_invertible_modp, _rref_modp, rank_modp
+from .intlinalg import (
+    _int_array,
+    _int_matmul,
+    _is_invertible_modp,
+    _rref_modp,
+    rank_modp,
+)
 from .groups import (
     FiniteMatrixGroup,
     Subgroup,
@@ -42,6 +48,7 @@ from .groups import (
 )
 from .lattices import (
     GLattice,
+    _respects_table,
     coset_gset_sum,
     coset_transversal,
     fixed_sublattice,
@@ -72,9 +79,7 @@ def left_nullspace_modp(rows, p):
 
 
 def _mat_mul_modp(a, b, p):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in bt]
-            for row in a]
+    return (_int_matmul(a, b) % p).tolist()
 
 
 def _fixed_basis(mats, dim, p):
@@ -99,18 +104,17 @@ class ModpModule:
     action: tuple  # per element: tuple of tuples, entries in [0, p)
 
     def __post_init__(self):
-        assert len(self.action) == self.group.order
+        n, d = self.group.order, self.dim
+        assert len(self.action) == n
         for a in self.action:
-            assert len(a) == self.dim
-            assert all(len(r) == self.dim for r in a)
-        t = self.group.table
+            assert len(a) == d
+            assert all(len(r) == d for r in a)
+        if d == 0:
+            return
         for s in self.group.generator_indices:
             assert _is_invertible_modp([list(r) for r in self.action[s]],
                                        self.p)
-            for x in range(self.group.order):
-                got = _mat_mul_modp([list(r) for r in self.action[x]],
-                                    [list(r) for r in self.action[s]], self.p)
-                assert tuple(tuple(r) for r in got) == self.action[t[x][s]]
+        assert _respects_table(self.group, _int_array(self.action), self.p)
 
     def act(self, i):
         return [list(r) for r in self.action[i]]
@@ -124,19 +128,22 @@ class ModpModule:
                                 self.p))
 
     def norm_matrix(self, members):
-        total = [[0] * self.dim for _ in range(self.dim)]
-        for g in members:
-            a = self.action[g]
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    total[i][j] = (total[i][j] + a[i][j]) % self.p
-        return total
+        """Sum of act(g) over the members, as the product of a row of ones
+        with the flattened matrices."""
+        members = list(members)
+        if not (members and self.dim):
+            return [[0] * self.dim for _ in range(self.dim)]
+        flat = [[x for row in self.action[g] for x in row] for g in members]
+        total = _int_matmul([[1] * len(members)], flat) % self.p
+        return total.reshape(self.dim, self.dim).tolist()
 
 
 def reduce_mod_p(m: GLattice, p: int) -> ModpModule:
-    action = tuple(tuple(tuple(x % p for x in row) for row in a.data)
-                   for a in m.action)
-    return ModpModule(p, m.group, m.rank, action)
+    if not m.rank:
+        return ModpModule(p, m.group, 0, tuple(() for _ in m.action))
+    reduced = (_int_array([a.data for a in m.action]) % p).tolist()
+    return ModpModule(p, m.group, m.rank,
+                      tuple(tuple(map(tuple, a)) for a in reduced))
 
 
 # ---------------------------------------------------------------------------

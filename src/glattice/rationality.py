@@ -49,6 +49,7 @@ from .lattices import (
     EquivariantMap,
     GLattice,
     GSet,
+    _cyclic_tate_groups,
     _gset_of_rows,
     _orbit_basis_search,
     aug_ideal,
@@ -133,14 +134,22 @@ def aug_tensor(x: GSet, y: GSet, name=None) -> GLattice:
 def recognize_aug_ideal(m: GLattice, budget=200000):
     """Search for an identification M = I_X.
 
+    Pre-screen: I_X has cyclic H^-1(C, M) and H^1(C, M) for every cyclic
+    subgroup C.  From 0 -> I_X -> Z[X] -> Z -> 0 and the vanishing of
+    H^-1 and H^1 of the permutation lattice Z[X] (Brown, Cohomology of
+    Groups, GTM 87, III.5-III.6), they are quotients of H^-2(C, Z) = C
+    and of H^0(C, Z) = Z/|C|.  A lattice that fails this gets None
+    without a search.
+
     Works through the dual: M = I_X iff M* = J_X, and J_X visibly
     contains the images of the |X| points: a G-stable set of rank+1
     vectors with zero sum such that dropping any one leaves a Z-basis.
     Returns (gset, point_vectors_in_dual) or None (unknown).
     """
-    md = dual(m)
-    if md.rank == 0:
+    if m.rank == 0 or not all(len(inv.factors) <= 1
+                              for inv in _cyclic_tate_groups(m)):
         return None
+    md = dual(m)
     pts = _orbit_basis_search(md, budget, False, md.rank + 1)
     if pts is None:
         return None

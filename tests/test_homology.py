@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -333,6 +334,34 @@ def test_obstruction_witness_rejects_tampering():
     w2 = ObstructionWitness(w.test_subgroups, w.unknowns, w.equations,
                             w.rhs, w.eq_labels, bad)
     assert not w2.verify()
+
+
+def fraction_verify(w):
+    """Reference check in rationals: equations * c integral, rhs . c not."""
+    c = w.infeasibility_proof
+    return (all(sum(Fraction(x) * y for x, y in zip(row, c)).denominator == 1
+                for row in w.equations.data)
+            and sum(Fraction(x) * y
+                    for x, y in zip(w.rhs, c)).denominator != 1)
+
+
+def test_obstruction_witness_integer_check_matches_rationals():
+    from glattice.homology import ObstructionWitness
+
+    x = coset_gset(V4, V4.trivial_subgroup())
+    fl = flasque_resolution(j_lattice(x))
+    w = stably_permutation_obstruction(fl.cert.right)
+    assert w.verify() and fraction_verify(w)
+    rng = random.Random(4)
+    verdicts = set()
+    for _ in range(200):
+        proof = [c + Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3, 4]))
+                 if rng.random() < 0.5 else c for c in w.infeasibility_proof]
+        bad = ObstructionWitness(w.test_subgroups, w.unknowns, w.equations,
+                                 w.rhs, w.eq_labels, tuple(proof))
+        assert bad.verify() == fraction_verify(bad)
+        verdicts.add(bad.verify())
+    assert verdicts == {True, False}
 
 
 def test_quasi_permutation_rank_zero():

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from glattice.intlinalg import (
     AbelianInvariants,
     IntMat,
+    _fits_int64,
+    _int_matmul,
     cokernel_invariants,
     hnf,
     kernel_basis,
@@ -122,6 +124,60 @@ def test_matrices_without_rows_or_columns_keep_their_shape():
     assert z.hstack(IntMat.zeros(0, 2)).shape == (0, 5)
     assert z.block_diag(IntMat.zeros(0, 1)).shape == (0, 4)
     assert IntMat.identity(3).submatrix([], range(2)).shape == (0, 2)
+
+
+def python_product(a, b):
+    """Reference product in Python integers of two IntMats, as lists."""
+    return [[sum(a[i, t] * b[t, j] for t in range(a.cols))
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+def test_int64_product_matches_python_product_on_random_shapes():
+    rng = random.Random(5)
+    for _ in range(300):
+        m, k, n = (rng.randint(0, 9) for _ in range(3))
+        bound = rng.choice([1, 3, 1000, 2 ** 30])
+        a = IntMat.zeros(m, k) if not m else IntMat(
+            [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(m)])
+        b = IntMat.zeros(k, n) if not k else IntMat(
+            [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(k)])
+        prod = a * b
+        assert prod.shape == (m, n)
+        assert [list(r) for r in prod.data] == python_product(a, b)
+        if m and k:
+            got = _int_matmul(a.data, b.data)
+            assert got.shape == (m, n)
+            assert got.tolist() == [list(r) for r in prod.data]
+
+
+def test_products_with_empty_operands_keep_their_columns():
+    for m, k, n in ((0, 3, 4), (0, 12, 12), (3, 0, 4), (12, 0, 12),
+                    (4, 3, 0), (12, 12, 0)):
+        a, b = IntMat.zeros(m, k), IntMat.zeros(k, n)
+        assert (a * b).shape == (m, n) and (a * b).is_zero()
+
+
+def test_int64_product_takes_the_python_path_past_the_guard():
+    # inner * max|a| * max|b| must stay below 2^63
+    assert _fits_int64(2, 2 ** 31, 2 ** 31 - 1)
+    assert not _fits_int64(2, 2 ** 31, 2 ** 31)
+    assert not _fits_int64(1, 2 ** 32, 2 ** 31)
+    rng = random.Random(6)
+    for inner, big in ((2, 2 ** 31), (4, 2 ** 31), (1, 2 ** 32), (3, 2 ** 40),
+                       (2, 2 ** 70)):
+        a = [[big] * inner] + [[rng.randint(-9, 9) for _ in range(inner)]
+                               for _ in range(4)]
+        b = [[big] + [rng.randint(-9, 9) for _ in range(4)]
+             for _ in range(inner)]
+        want = python_product(IntMat(a), IntMat(b))
+        got = _int_matmul(a, b)
+        assert got.dtype == object and got.tolist() == want
+        assert [list(r) for r in (IntMat(a) * IntMat(b)).data] == want
+    # just inside the guard: int64, and still exact
+    a = [[2 ** 31 - 1] * 2]
+    b = [[-(2 ** 31)]] * 2
+    got = _int_matmul(a, b)
+    assert got.dtype == np.int64 and got.tolist() == [[-2 ** 63 + 2 ** 32]]
 
 
 def test_snf_identity():

@@ -18,6 +18,11 @@ from glattice.lattices import (
     GLattice,
     GSet,
     NotIndexTwoNormal,
+    PermutationWitness,
+    SignPermutationWitness,
+    _cyclic_tate_groups,
+    _is_cyclic,
+    _orbit_basis_search,
     aug_ideal,
     coset_gset,
     coset_lattice,
@@ -200,6 +205,19 @@ def test_gset_rejects_a_non_action():
     swapped[a], swapped[b] = swapped[b], swapped[a]
     with pytest.raises(AssertionError):
         GSet(S3, 3, tuple(swapped))
+
+
+@pytest.mark.parametrize("big", [1, 2 ** 40])
+def test_glattice_rejects_a_non_homomorphism(big):
+    # big = 2^40 puts entries past 2^63, so the check multiplies in
+    # Python integers; big = 1 keeps it in int64
+    m = twist(std_lattice(S3), IntMat([[1, big, 0], [0, 1, 0], [0, 0, 1]]))
+    assert max(a.max_abs() for a in m.action) >= big * big
+    a, b = [i for i in range(1, S3.order) if m.act(i) != m.act(0)][:2]
+    swapped = list(m.action)
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    with pytest.raises(AssertionError, match="not a homomorphism"):
+        GLattice(S3, swapped)
 
 
 def test_sign_lattice():
@@ -561,6 +579,87 @@ def test_recognize_permutation_refuses_sign():
     assert recognize_permutation(s) is None
     w = recognize_sign_permutation(s)
     assert w is not None and w.basis.det() in (1, -1)
+
+
+def test_cyclic_tate_table_is_computed_once_per_lattice(monkeypatch):
+    from glattice import lattices
+
+    m = twist(std_lattice(WB2), IntMat([[1, 1], [0, 1]]))
+    cyclic = [h for h in all_subgroups(WB2).representatives()
+              if h.order > 1 and _is_cyclic(WB2, h.members)]
+    want = [t for h in cyclic
+            for t in (tate(m, h, -1), tate(dual(m), h, -1))]
+    calls = []
+    real = lattices.tate
+    monkeypatch.setattr(lattices, "tate",
+                        lambda *a: calls.append(a) or real(*a))
+    assert next(_cyclic_tate_groups(m)) == want[0] and len(calls) == 1
+    assert list(_cyclic_tate_groups(m)) == want
+    assert list(_cyclic_tate_groups(m)) == want
+    assert len(calls) == len(want)
+
+
+SCREENS = (
+    # (recognizer's pre-screen, up to sign, points beyond the rank)
+    (lambda t: t.is_trivial(), False, 0),
+    (lambda t: set(t.factors) <= {2}, True, 0),
+    (lambda t: len(t.factors) <= 1, False, 1),
+)
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog.builtin_catalog()
+                                  if e.group().order <= 24])
+def test_prescreens_never_reject_a_lattice_the_search_recognizes(name):
+    g = catalog.entry(name).group()
+    for h in all_subgroups(g).representatives():
+        if not 2 <= g.order // h.order <= 8:
+            continue
+        x = coset_gset(g, h)
+        for m in (coset_lattice(g, h), aug_ideal(x), j_lattice(x)):
+            for ok, up_to_sign, extra in SCREENS:
+                if all(ok(t) for t in _cyclic_tate_groups(m)):
+                    continue
+                target = dual(m) if extra else m
+                assert _orbit_basis_search(target, 2000, up_to_sign,
+                                           m.rank + extra) is None
+
+
+def test_tampered_permutation_witnesses_fail():
+    m = twist(coset_lattice(S3, S3.trivial_subgroup()),
+              random_unimodular(random.Random(3), 6))
+    w = recognize_permutation(m)
+    assert w is not None and w.verify(m)
+    b = w.map.matrix
+    flipped = IntMat([[-x for x in b.data[0]]] + list(b.data[1:]))
+    doubled = IntMat([[2 * x for x in b.data[0]]] + list(b.data[1:]))
+    for basis in (flipped, doubled):
+        bad = PermutationWitness(w.gset,
+                                 EquivariantMap(w.map.source, m, basis))
+        assert not bad.verify(m)
+    # the same G-set with its points relabelled: a G-set, but not the
+    # one the basis rows follow
+    x = w.gset
+    sigma = [1, 0] + list(range(2, x.points))
+    relabelled = GSet(S3, x.points, tuple(
+        tuple(sigma[p[sigma[i]]] for i in range(x.points)) for p in x.perms))
+    assert relabelled.perms != x.perms
+    assert not PermutationWitness(relabelled, w.map).verify(m)
+
+
+def test_tampered_sign_permutation_witnesses_fail():
+    m = twist(std_lattice(WB2), IntMat([[1, 1], [0, 1]]))
+    w = recognize_sign_permutation(m)
+    assert w is not None and w.verify(m)
+    for s in WB2.generator_indices:
+        perm = list(w.signed_perms[s])
+        j, sign = perm[0]
+        perm[0] = (j, -sign)
+        signed = list(w.signed_perms)
+        signed[s] = tuple(perm)
+        assert not SignPermutationWitness(w.basis, tuple(signed)).verify(m)
+    doubled = IntMat([[2 * x for x in w.basis.data[0]]]
+                     + list(w.basis.data[1:]))
+    assert not SignPermutationWitness(doubled, w.signed_perms).verify(m)
 
 
 def test_recognize_sign_permutation_wb2():

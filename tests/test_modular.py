@@ -96,10 +96,27 @@ def test_reduce_perm_mod3():
     assert m.fixed_dim(range(6)) == 1
 
 
-def test_modp_homomorphism_validated():
-    # the non-identity element mapped to 2 mod 5 (order 4, not 2)
+@pytest.mark.parametrize("p", [5, 2 ** 61 - 1])
+def test_modp_homomorphism_validated(p):
+    # p = 2^61 - 1 puts p^2 past 2^63, so the check multiplies in Python
+    # integers; p = 5 keeps it in int64
+    ModpModule(p, C2, 1, (((1,),), ((p - 1,),)))
+    # the non-identity element mapped to 2 (of order > 2 mod p)
     with pytest.raises(AssertionError):
-        ModpModule(5, C2, 1, (((1,),), ((2,),)))
+        ModpModule(p, C2, 1, (((1,),), ((2,),)))
+    # two S3 elements' matrices swapped: each invertible, no homomorphism.
+    # The twist puts entries near p into the matrices.
+    u = IntMat([[1, 2 ** 40, 0], [0, 1, 0], [0, 0, 1]])
+    ui = u.inverse_unimodular()
+    twisted = GLattice(S3, [u * a * ui for a in perm_lattice(
+        gset_from_permutation_matrices(S3)).action])
+    action = list(reduce_mod_p(twisted, p).action)
+    if p > 5:
+        assert max(x for a in action for r in a for x in r) > 2 ** 32
+    a, b = [i for i in range(1, S3.order) if action[i] != action[0]][:2]
+    action[a], action[b] = action[b], action[a]
+    with pytest.raises(AssertionError):
+        ModpModule(p, S3, 3, tuple(action))
 
 
 # ---------------------------------------------------------------------------

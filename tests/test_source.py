@@ -73,3 +73,18 @@ def test_imports_go_down_the_layers_at_module_top():
                            for node in ast.walk(top)
                            if isinstance(node, imports))
     assert bad == []
+
+
+def test_int64_only_in_intlinalg():
+    """Every fixed-width integer array is made in intlinalg, so that every
+    integer product goes through its one overflow guard."""
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "intlinalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if ((isinstance(node, ast.Attribute) and node.attr == "int64")
+                    or (isinstance(node, ast.Constant)
+                        and node.value == "int64")):
+                bad.append("%s:%d" % (path.name, node.lineno))
+    assert bad == []
