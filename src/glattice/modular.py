@@ -130,12 +130,13 @@ class ModpModule:
     def norm_matrix(self, members):
         """Sum of act(g) over the members, as the product of a row of ones
         with the flattened matrices."""
-        members = list(members)
-        if not (members and self.dim):
-            return [[0] * self.dim for _ in range(self.dim)]
-        flat = [[x for row in self.action[g] for x in row] for g in members]
-        total = _int_matmul([[1] * len(members)], flat) % self.p
-        return total.reshape(self.dim, self.dim).tolist()
+        members, d = list(members), self.dim
+        if not (members and d):
+            return [[0] * d for _ in range(d)]
+        acts = _int_array([self.action[g] for g in members])
+        total = _int_matmul([[1] * len(members)],
+                            acts.reshape(len(members), d * d))
+        return (total % self.p).reshape(d, d).tolist()
 
 
 def reduce_mod_p(m: GLattice, p: int) -> ModpModule:

@@ -96,8 +96,14 @@ def test_reduce_perm_mod3():
     assert m.fixed_dim(range(6)) == 1
 
 
+def test_modp_homomorphism_validated():
+    # the non-identity element mapped to 2 mod 5 (order 4, not 2)
+    with pytest.raises(AssertionError):
+        ModpModule(5, C2, 1, (((1,),), ((2,),)))
+
+
 @pytest.mark.parametrize("p", [5, 2 ** 61 - 1])
-def test_modp_homomorphism_validated(p):
+def test_modp_homomorphism_checked_on_both_product_paths(p):
     # p = 2^61 - 1 puts p^2 past 2^63, so the check multiplies in Python
     # integers; p = 5 keeps it in int64
     ModpModule(p, C2, 1, (((1,),), ((p - 1,),)))
