@@ -53,7 +53,8 @@ class IntMat:
 
     @staticmethod
     def identity(n):
-        return IntMat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return IntMat._wrap(tuple(tuple(1 if i == j else 0 for j in range(n))
+                                  for i in range(n)), n)
 
     @staticmethod
     def _wrap(data, cols):
@@ -68,9 +69,7 @@ class IntMat:
 
     @staticmethod
     def zeros(m, n):
-        out = IntMat([[0] * n for _ in range(m)])
-        out.cols = n
-        return out
+        return IntMat._wrap(((0,) * n,) * m, n)
 
     @staticmethod
     def from_flat(m, n, entries):
@@ -118,7 +117,7 @@ class IntMat:
     def transpose(self):
         if not (self.rows and self.cols):
             return IntMat.zeros(self.cols, self.rows)
-        return IntMat(list(zip(*self.data)))
+        return IntMat._wrap(tuple(zip(*self.data)), self.rows)
 
     def __neg__(self):
         return IntMat([[-x for x in row] for row in self.data])
@@ -130,8 +129,9 @@ class IntMat:
 
     def __sub__(self, other):
         assert self.shape == other.shape
-        return IntMat([[a - b for a, b in zip(r, s)]
-                       for r, s in zip(self.data, other.data)])
+        return IntMat._wrap(tuple(tuple(a - b for a, b in zip(r, s))
+                                  for r, s in zip(self.data, other.data)),
+                            self.cols)
 
     def scale(self, c):
         return IntMat([[c * x for x in row] for row in self.data])
@@ -171,13 +171,14 @@ class IntMat:
             return other
         if other.rows == 0:
             return self
-        return IntMat(self.data + other.data)
+        return IntMat._wrap(self.data + other.data, self.cols)
 
     def hstack(self, other):
         assert self.rows == other.rows
         if not self.rows:
             return IntMat.zeros(0, self.cols + other.cols)
-        return IntMat([r + s for r, s in zip(self.data, other.data)])
+        return IntMat._wrap(tuple(r + s for r, s in zip(self.data, other.data)),
+                            self.cols + other.cols)
 
     def block_diag(self, other):
         """The block-diagonal matrix with blocks self and other."""
@@ -372,7 +373,8 @@ def hnf(a: IntMat) -> HermiteForm:
             r += 1
             if r == m:
                 break
-    return HermiteForm(IntMat(h), IntMat(u))
+    return HermiteForm(IntMat._wrap(tuple(map(tuple, h)), n),
+                       IntMat._wrap(tuple(map(tuple, u)), m))
 
 
 def kernel_basis(a: IntMat) -> IntMat:
@@ -426,8 +428,9 @@ def solve_left(a: IntMat, b: IntMat):
         if any(resid):
             return None
         xs.append(coeff)
-    x = IntMat(xs) if xs else IntMat.zeros(0, a.rows)
-    return x * u if x.rows else IntMat.zeros(0, a.rows)
+    if not xs:
+        return IntMat.zeros(0, a.rows)
+    return IntMat._wrap(tuple(map(tuple, xs)), a.rows) * u
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +543,8 @@ def snf(a: IntMat) -> SmithForm:
 
     d = tuple(w[i][i] if i < n else 0 for i in range(min(m, n)))
     # zero factors already trail because elimination stops when block is zero
-    return SmithForm(d, IntMat(u), IntMat(v))
+    return SmithForm(d, IntMat._wrap(tuple(map(tuple, u)), m),
+                     IntMat._wrap(tuple(map(tuple, v)), n))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ short-vector orbit search behind (sign-)permutation-basis and
 augmentation-ideal recognition.
 
 Tate orientation.  Here H^0(H, M) = M^H / N_H(M) and
-H^-1(H, M) = ker(N_H) / I_H(M), with degree +1 computed through duality
+H^-1(H, M) = ker(N_H) / I_H(M), with degree +1 given by duality
 H^1(H, M) = H^-1(H, M*).  (Some sources display the two quotients the
 other way round; the orientation fixed here is the one under which
 H^0(C2, Z) = Z/2 and permutation lattices are flasque and coflasque.)
@@ -545,51 +545,44 @@ def norm_matrix(m: GLattice, h: Subgroup) -> IntMat:
     return IntMat.from_flat(r, r, total[0].tolist())
 
 
-def _augmentation_image(m: GLattice, h: Subgroup) -> IntMat:
-    """Stacked rows spanning I_H(M) = <v(act(g) - 1)>."""
-    gens = h.generators()
-    if not gens:
-        return IntMat.zeros(0, m.rank)
-    blocks = []
-    ident = IntMat.identity(m.rank)
-    for s in gens:
-        blocks.append(m.act(s) - ident)
-    out = blocks[0]
-    for b in blocks[1:]:
-        out = out.stack(b)
-    return out
-
-
 def tate(m: GLattice, h: Subgroup, k: int) -> AbelianInvariants:
-    """Tate cohomology of h with coefficients in m, degree k in {-1,0,1}."""
+    """Tate cohomology of h with coefficients in m, degree k in {-1,0,1}.
+
+    Each degree is the torsion subgroup of Z^r / rowspan(A) for one
+    integer matrix A built from m's own action, so one Smith form:
+
+    - k = 0: A = N_H, the norm matrix.  Its row span N_H(M) lies in the
+      saturated M^H and has the same rank (N_H / |H| projects M (x) Q onto
+      M^H (x) Q), so M^H / N_H(M) is exactly the torsion of Z^r / N_H(M).
+    - k = -1: A = the rows act(s) - 1 stacked over the generators s of H,
+      whose span is I_H(M).  ker N_H / I_H(M) is finite (|H| kills it)
+      and the quotient of M_H = M / I_H(M) by it is N_H(M), torsion-free,
+      so it is exactly the torsion of M_H.
+    - k = 1: A = the rows (act(s) - 1)^T stacked the same way, whose span
+      is I_H(M*): M* has act*(s) = act(s^-1)^T, and act(s^-1)^T - 1 =
+      act(s)^-T (1 - act(s)^T) has the same row span as act(s)^T - 1.
+      So this is H^-1(H, M*) = H^1(H, M), by the argument for k = -1.
+
+    (Brown, Cohomology of Groups, GTM 87, VI.4.)
+    """
     assert k in (-1, 0, 1)
     if m.rank == 0 or h.order == 1:
         return TRIVIAL_GROUP
-    if k == 1:
-        return tate(dual(m), h, -1)
-    norm = norm_matrix(m, h)
     if k == 0:
-        fix = fixed_sublattice(m, h)
-        if fix.rows == 0:
-            return TRIVIAL_GROUP
-        x = solve_left(fix, norm)
-        assert x is not None
-        return _drop_free(cokernel_invariants(x, fix.rows))
-    # k == -1
-    ker = kernel_basis(norm)
-    if ker.rows == 0:
-        return TRIVIAL_GROUP
-    img = _augmentation_image(m, h)
-    # I_H(M) lies in ker(N): project its rows onto the kernel basis
-    sel = [row for row in img.data]
-    x = solve_left(ker, IntMat(sel)) if sel else IntMat.zeros(0, ker.rows)
-    assert x is not None
-    return _drop_free(cokernel_invariants(x, ker.rows))
+        rel = norm_matrix(m, h)
+    else:
+        ident = IntMat.identity(m.rank)
+        rel = IntMat.zeros(0, m.rank)
+        for s in h.generators():
+            d = m.act(s) - ident
+            rel = rel.stack(d.transpose() if k == 1 else d)
+    return AbelianInvariants(cokernel_invariants(rel, m.rank).factors)
 
 
 def _cyclic_tate_groups(m: GLattice):
-    """Yield H^-1(C, M) and then H^-1(C, M*) = H^1(C, M) for each
-    nontrivial cyclic subgroup class rep C in turn.
+    """Yield H^-1(C, M) for each nontrivial cyclic subgroup class rep C in
+    turn.  Tate cohomology of a cyclic group is 2-periodic, so each entry
+    is also H^1(C, M) (Brown, Cohomology of Groups, GTM 87, VI.9).
 
     Each group is computed the first time some caller reaches it and kept
     on m, so callers that stop early (the recognizers' pre-screens) share
@@ -599,21 +592,10 @@ def _cyclic_tate_groups(m: GLattice):
     reps = [h for h in all_subgroups(g).representatives()
             if h.order > 1 and _is_cyclic(g, h.members)]
     table = m._cyclic_tate
-    md = None
-    for i in range(2 * len(reps)):
+    for i, h in enumerate(reps):
         if i == len(table):
-            if i % 2 == 0:
-                table.append(tate(m, reps[i // 2], -1))
-            else:
-                if md is None:
-                    md = dual(m)
-                table.append(tate(md, reps[i // 2], -1))
+            table.append(tate(m, h, -1))
         yield table[i]
-
-
-def _drop_free(inv: AbelianInvariants) -> AbelianInvariants:
-    assert inv.free_rank == 0, "Tate group must be finite"
-    return inv
 
 
 def is_flasque(m: GLattice) -> bool:
@@ -624,8 +606,7 @@ def is_flasque(m: GLattice) -> bool:
 
 def is_coflasque(m: GLattice) -> bool:
     """H^1(H, M) = 0 for one representative per subgroup conjugacy class."""
-    md = dual(m)
-    return all(tate(md, h, -1).is_trivial()
+    return all(tate(m, h, 1).is_trivial()
                for h in all_subgroups(m.group).representatives())
 
 
@@ -643,17 +624,15 @@ def subgroup_tate_profiles(m: GLattice):
     (Brown, Cohomology of Groups, GTM 87, III.8), so each is computed once
     per G-class.  The profile of S takes one entry per S-class of
     subgroups of S: per S-orbit of the subgroups of G contained in S.
-    Degree 1 is degree -1 of the dual, built once.
     """
     g = m.group
     classes = all_subgroups(g).classes
-    md = dual(m)
     entries = []
     class_of = {}
     for cid, c in enumerate(classes):
         h = c.representative
         entries.append((h.order, tate(m, h, -1).factors,
-                        tate(m, h, 0).factors, tate(md, h, -1).factors))
+                        tate(m, h, 0).factors, tate(m, h, 1).factors))
         for x in c.orbit:
             class_of[x] = cid
     profiles = []
@@ -797,7 +776,8 @@ def recognize_permutation(m: GLattice, budget=200000):
     every cyclic subgroup C, since by Shapiro's lemma and Mackey's formula
     both are sums of H^-1 and H^1 of subgroups of C with coefficients in
     Z, which vanish (Brown, Cohomology of Groups, GTM 87, III.5-III.6).
-    A lattice that fails this gets None without a search.
+    For cyclic C the two are isomorphic (2-periodicity), so the screen
+    reads H^-1 only.  A lattice that fails it gets None without a search.
 
     Otherwise enumerates candidate vectors of sup-norm <= 3 in increasing
     radius, collects full G-orbits of size <= rank, and looks for a union
@@ -822,7 +802,8 @@ def recognize_sign_permutation(m: GLattice, budget=200000):
     Pre-screen: a sign-permutation lattice is a sum of lattices induced
     from rank-one sign lattices, so H^-1(C, M) and H^1(C, M) are sums of
     H^-1(D, Z) = 0 and H^-1(D, Z^-) = Z/2 over subgroups D of C (Brown,
-    GTM 87, III.5-III.6): of exponent <= 2 for every cyclic C.
+    GTM 87, III.5-III.6): of exponent <= 2 for every cyclic C.  By
+    2-periodicity H^1(C, M) = H^-1(C, M), so the screen reads H^-1 only.
     """
     if not all(set(inv.factors) <= {2} for inv in _cyclic_tate_groups(m)):
         return None
@@ -890,7 +871,9 @@ def _orbit_basis_search(m: GLattice, budget, up_to_sign, points):
                 if len(orb) > points or per_size.get(len(orb), 0) >= pool_cap:
                     continue
                 per_size[len(orb)] = per_size.get(len(orb), 0) + 1
-                orbits.append(orb)
+                # each vector mod 2 as a bit mask, for _assemble_basis
+                orbits.append((orb, [sum((x & 1) << i for i, x in enumerate(w))
+                                     for w in orb]))
         return False
 
     def box_rows(basis_rows, radius):
@@ -937,7 +920,8 @@ def _orbit_basis_search(m: GLattice, budget, up_to_sign, points):
 def _assemble_basis(orbits, rank, points):
     """Backtracking subset search: orbits with `points` vectors in all
     whose first rank rows are unimodular and, when points > rank, whose
-    columns sum to zero.
+    columns sum to zero.  `orbits` holds (orbit, masks) pairs, masks[i]
+    the bits of orbit[i] mod 2.
 
     Partial selections are pruned unless their first rank rows stay
     linearly independent mod 2 (a unimodular matrix is invertible over
@@ -946,9 +930,7 @@ def _assemble_basis(orbits, rank, points):
     selections go through the unimodularity screen of
     `intlinalg._first_unimodular`; the search gives up after 100000 of
     them."""
-    orbits = sorted(orbits, key=lambda o: (-len(o), o))
-    masks = [[sum((x & 1) << i for i, x in enumerate(v)) for v in o]
-             for o in orbits]
+    orbits = sorted(orbits, key=lambda om: (-len(om[0]), om[0]))
     tries = [0]
 
     def eliminate(pivots, rows):
@@ -981,10 +963,10 @@ def _assemble_basis(orbits, rank, points):
         if i == len(orbits) or tries[0] > 100000:
             return None
         for j in range(i, len(orbits)):
-            o = orbits[j]
+            o, masks = orbits[j]
             if total + len(o) > points:
                 continue
-            np2 = eliminate(pivots, masks[j][:rank - total])
+            np2 = eliminate(pivots, masks[:rank - total])
             if np2 is None:
                 continue
             hit = rec(j + 1, chosen + [o], total + len(o), np2)

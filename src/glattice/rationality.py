@@ -138,8 +138,9 @@ def recognize_aug_ideal(m: GLattice, budget=200000):
     subgroup C.  From 0 -> I_X -> Z[X] -> Z -> 0 and the vanishing of
     H^-1 and H^1 of the permutation lattice Z[X] (Brown, Cohomology of
     Groups, GTM 87, III.5-III.6), they are quotients of H^-2(C, Z) = C
-    and of H^0(C, Z) = Z/|C|.  A lattice that fails this gets None
-    without a search.
+    and of H^0(C, Z) = Z/|C|.  For cyclic C, H^1(C, M) = H^-1(C, M) by
+    2-periodicity, so the screen reads H^-1 only.  A lattice that fails
+    it gets None without a search.
 
     Works through the dual: M = I_X iff M* = J_X, and J_X visibly
     contains the images of the |X| points: a G-stable set of rank+1

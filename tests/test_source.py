@@ -88,3 +88,28 @@ def test_int64_only_in_intlinalg():
                         and node.value == "int64")):
                 bad.append("%s:%d" % (path.name, node.lineno))
     assert bad == []
+
+
+def test_every_imported_name_is_read():
+    """A module reads every name it imports; the package __init__, whose
+    imports are re-exports, is exempt."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text("utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [(a.asname or a.name.split(".")[0], node.lineno)
+                         for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                names = [(a.asname or a.name, node.lineno)
+                         for a in node.names]
+            else:
+                continue
+            unread.extend("%s:%d %s" % (path.name, line, name)
+                          for name, line in names if name not in read)
+    assert unread == []
