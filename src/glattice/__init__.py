@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .intlinalg import (
     IntMat,
-    SmithForm,
     HermiteForm,
     AbelianInvariants,
     BudgetExhausted,

@@ -341,6 +341,8 @@ def cmd_census(args, rep):
     roots = DIM_ROOTS[args.dim] if args.dim else tuple(args.roots.split(","))
     rep.report["inputs"] = {"dim": args.dim, "roots": list(roots),
                             "budget": args.budget}
+    if args.budget < 1:
+        raise ValueError("--budget must be at least 1, got %d" % args.budget)
     try:
         out = census(roots, budget=args.budget)
     except UndecidedPairs as exc:
@@ -392,7 +394,7 @@ def _case_census3(rep):
 
 
 def _case_census4(rep):
-    """710 Z-classes in dimension 4, no undecided pair (about 90 s)."""
+    """710 Z-classes in dimension 4, no undecided pair (about 6-9 s)."""
     try:
         out = census(_catalog.DIM4_ROOTS)
     except UndecidedPairs as exc:

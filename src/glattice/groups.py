@@ -11,6 +11,7 @@ matrix groups.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -231,7 +232,12 @@ class Subgroup:
         return tuple(sorted(self.members))
 
     def generators(self):
-        return self.parent.generating_set(self.members)
+        """`generating_set` of the members, computed once per subgroup."""
+        return self._generators
+
+    @functools.cached_property
+    def _generators(self):
+        return tuple(self.parent.generating_set(self.members))
 
     def matrices(self):
         return [self.parent.elements[i] for i in self.sorted_members]
@@ -398,16 +404,15 @@ def all_subgroups(g: FiniteMatrixGroup) -> SubgroupClassification:
 
     trivial = frozenset([0])
     known = {trivial: 0}            # member set -> class id
-    class_reps = [trivial]          # class id -> canonical member set
+    class_reps = [Subgroup(g, trivial)]  # class id -> canonical rep
     class_orbits = [{trivial}]
-    class_gens = [[]]
     queue = [0]
     while queue:
         cid = queue.pop(0)
-        h = class_reps[cid]
-        hgens = class_gens[cid]
+        h = class_reps[cid].members
         if len(h) == n:
             continue
+        hgens = class_reps[cid].generators()
         norm = _normalizer(g, h, hgens)
         norm_gens = g.generating_set(frozenset(norm)) if len(norm) > 1 else []
         # elements whose extension is tried or conjugate to one tried: a
@@ -438,7 +443,7 @@ def all_subgroups(g: FiniteMatrixGroup) -> SubgroupClassification:
             # breadth-first search by right multiplication with generators
             members = set(h)
             cosets = [0]
-            gens = hgens + [x]
+            gens = hgens + (x,)
             for y in cosets:
                 row = t[y]
                 for a in gens:
@@ -452,15 +457,14 @@ def all_subgroups(g: FiniteMatrixGroup) -> SubgroupClassification:
             orbit = _subgroup_orbit(g, s)
             rep = min(orbit, key=lambda m: tuple(sorted(m)))
             new_id = len(class_reps)
-            class_reps.append(rep)
+            class_reps.append(Subgroup(g, rep))
             class_orbits.append(orbit)
-            class_gens.append(g.generating_set(rep))
             for m in orbit:
                 known[m] = new_id
             queue.append(new_id)
 
     classes = [
-        SubgroupClass(Subgroup(g, rep), tuple(sorted(orb, key=lambda m: tuple(sorted(m)))))
+        SubgroupClass(rep, tuple(sorted(orb, key=lambda m: tuple(sorted(m)))))
         for rep, orb in zip(class_reps, class_orbits)
     ]
     classes.sort(key=lambda c: (c.representative.order,
@@ -609,13 +613,11 @@ def _prime_factors(n):
 # ---------------------------------------------------------------------------
 
 def iter_isomorphisms(g1: FiniteMatrixGroup, g2: FiniteMatrixGroup,
-                      match_charpoly=True, limit=None):
-    """Yield isomorphisms g1 -> g2 as full image maps.
-
-    When match_charpoly is set, generator images are constrained to share
-    the characteristic polynomial of their preimage — the right notion for
-    GL_r(Z)-conjugacy, where conjugation preserves characteristic
-    polynomials elementwise.
+                      limit=None):
+    """Yield isomorphisms g1 -> g2 as full image maps that send each
+    element to one with the same characteristic polynomial: the right
+    notion for GL_r(Z)-conjugacy, where conjugation preserves
+    characteristic polynomials elementwise.
     """
     if g1.order != g2.order:
         return
@@ -627,8 +629,7 @@ def iter_isomorphisms(g1: FiniteMatrixGroup, g2: FiniteMatrixGroup,
     o1, o2 = g1.element_orders, g2.element_orders
     cs1 = {i: s for i, s in _class_size_map(g1).items()}
     cs2 = {i: s for i, s in _class_size_map(g2).items()}
-    cp1 = g1.charpolys if match_charpoly else None
-    cp2 = g2.charpolys if match_charpoly else None
+    cp1, cp2 = g1.charpolys, g2.charpolys
 
     def candidates(a):
         for b in range(n):
@@ -636,7 +637,7 @@ def iter_isomorphisms(g1: FiniteMatrixGroup, g2: FiniteMatrixGroup,
                 continue
             if cs2[b] != cs1[a]:
                 continue
-            if match_charpoly and cp2[b] != cp1[a]:
+            if cp2[b] != cp1[a]:
                 continue
             yield b
 
@@ -660,7 +661,7 @@ def iter_isomorphisms(g1: FiniteMatrixGroup, g2: FiniteMatrixGroup,
             f = _hom_extends_on(g1, g2, gens[:depth + 1], prev_imgs + [b], domain)
             if f is None:
                 continue
-            if match_charpoly and any(cp1[x] != cp2[f[x]] for x in domain):
+            if any(cp1[x] != cp2[f[x]] for x in domain):
                 continue
             if len(frozenset(f[x] for x in domain)) != len(domain):
                 continue
@@ -730,7 +731,7 @@ def glz_conjugate(g1: FiniteMatrixGroup, g2: FiniteMatrixGroup,
     spent = 0
     iso_count = 0
     any_open = False
-    for f in iter_isomorphisms(g1, g2, match_charpoly=True, limit=ISO_LIMIT):
+    for f in iter_isomorphisms(g1, g2, limit=ISO_LIMIT):
         found_iso = True
         iso_count += 1
         # X rho1(s) X^-1 = rho2(f(s)), i.e. rho2(f(s)) X = X rho1(s)

@@ -23,7 +23,6 @@ from .intlinalg import (
     cokernel_invariants,
     hnf,
     kernel_basis,
-    snf,
     solve_left,
     unimodular_in_lattice,
 )
@@ -564,30 +563,46 @@ def stably_permutation_obstruction(f: GLattice):
     if f.rank == 0:
         return None
     reps, mat, rhs, labels = _h0_system(f)
-    if solve_left(mat, IntMat([list(rhs)])) is not None:
-        return None
     proof = _infeasibility_certificate(mat, rhs)
+    if proof is None:
+        return None
     w = ObstructionWitness(tuple(reps), tuple(reps), mat, rhs, labels, proof)
     assert w.verify()
     return w
 
 
 def _infeasibility_certificate(mat: IntMat, rhs):
-    """Rational column combination c with mat*c integral and rhs*c not."""
-    s = snf(mat)
-    r = len([d for d in s.d if d])
-    bv = (IntMat([list(rhs)]) * s.v).data[0]
-    for i in range(len(bv)):
-        di = s.d[i] if i < len(s.d) else 0
-        if di == 0:
-            if bv[i] != 0:
-                scale = Fraction(1, 2 * bv[i])
-                return tuple(Fraction(s.v.data[j][i]) * scale
-                             for j in range(s.v.rows))
-        elif bv[i] % di != 0:
-            return tuple(Fraction(s.v.data[j][i], di)
-                         for j in range(s.v.rows))
-    raise AssertionError("system is feasible; no certificate")
+    """Rational column combination c with mat * c integral and rhs . c
+    not; None when x * mat = rhs has an integral solution.
+
+    Read off the Hermite form h = u * mat, as any c with h * c integral
+    has mat * c = u^-1 * h * c integral.  Back-substitution as in
+    `solve_left` takes pivot rows off rhs.  If pivot row k leaves a
+    remainder, h * c = e_k gives rhs . c = resid[j_k] / h[k][j_k].  If
+    every pivot clears but resid[j0] != 0 remains, c[j0] = 1/(2 resid[j0])
+    and h * c = 0 give rhs . c = 1/2.  Either way the entries of c on the
+    pivot columns solve a triangular system, and the others are zero."""
+    f = hnf(mat)
+    h, pivots = f.h.data, f.pivots
+    c = [Fraction(0)] * mat.cols
+    resid = list(rhs)
+    for k, j in enumerate(pivots):
+        q, rem = divmod(resid[j], h[k][j])
+        if rem:
+            break
+        resid = [x - q * y for x, y in zip(resid, h[k])]
+    else:
+        k = None
+        j0 = next((j for j, x in enumerate(resid) if x), None)
+        if j0 is None:
+            return None
+        c[j0] = Fraction(1, 2 * resid[j0])
+    # h[i] . c = 1 for i = k and 0 for the other pivot rows, bottom up
+    for i in reversed(range(len(pivots))):
+        j = pivots[i]
+        done = sum(x * y for x, y in zip(h[i][j + 1:], c[j + 1:]) if y)
+        c[j] = Fraction(int(i == k) - done, h[i][j])
+    return tuple(c)
 
 
 # ---------------------------------------------------------------------------

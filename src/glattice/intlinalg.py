@@ -1,13 +1,14 @@
 """
 Exact integer linear algebra.
 
-Dense matrices of arbitrary-precision Python integers, Smith and Hermite
-normal forms with transformation matrices, saturated kernel bases, cokernel
-invariant factors, integral linear solving, row reduction and the
-invertibility test over F_p, LLL basis reduction, and a bounded search for
-unimodular elements of a lattice of square matrices.  That search and the
-orbit-basis assembly in `lattices` share one unimodularity screen: a
-stacked float determinant, then an exact one on the survivors.
+Dense matrices of arbitrary-precision Python integers, the Hermite normal
+form with its transformation matrix, Smith invariant factors (the
+transforms are never built), saturated kernel bases, cokernel invariants,
+integral linear solving, row reduction and the invertibility test over
+F_p, LLL basis reduction, and a bounded search for unimodular elements of
+a lattice of square matrices.  That search and the orbit-basis assembly in
+`lattices` share one unimodularity screen: a stacked float determinant,
+then an exact one on the survivors.
 
 Every integer matrix product that leaves Python goes through one guard,
 `_int_matmul`: numpy int64 when no partial sum can overflow, Python
@@ -437,114 +438,59 @@ def solve_left(a: IntMat, b: IntMat):
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmithForm:
-    d: tuple      # invariant factors, divisibility chain, zeros trailing
-    u: IntMat
-    v: IntMat     # u * a * v = diag(d)
-
-
-def _min_pivot(a, t, m, n):
-    """Smallest-|entry| nonzero pivot in the trailing block, ties broken
-    by (row, col) lexicographic order."""
+def _min_pivot(a):
+    """(row, col) of the first smallest-|entry| nonzero entry of a in
+    row-major order; None when a is zero."""
     best = None
-    for i in range(t, m):
-        arow = a[i]
-        for j in range(t, n):
-            x = arow[j]
-            if x:
-                key = (abs(x), i, j)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-                    if abs(x) == 1:
-                        return best[1], best[2]
-    return (None, None) if best is None else (best[1], best[2])
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            if x and (best is None or abs(x) < best[0]):
+                best = (abs(x), i, j)
+                if best[0] == 1:
+                    return i, j
+    return best and best[1:]
 
 
-def snf(a: IntMat) -> SmithForm:
-    """Smith normal form u*a*v = diag(d) with d a divisibility chain.
+def snf(a: IntMat) -> tuple:
+    """Invariant factors of a: the diagonal of its Smith normal form, a
+    divisibility chain of min(rows, cols) entries with the zeros trailing.
 
-    Deterministic: pivot is the minimal-absolute-value entry of the
-    trailing block with (row, col) lexicographic tie-break.
+    No transforms are kept.  Each step moves the first smallest nonzero
+    entry of the remaining block to its corner and clears the corner's row
+    and column.  A remainder becomes the next, smaller pivot, and so does
+    an entry the pivot does not divide, once its row is added to the
+    corner's.  A cleared corner is the next factor; the block then loses
+    its first row and column.
     """
-    m, n = a.rows, a.cols
     w = [list(row) for row in a.data]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, k):
-        w[i], w[k] = w[k], w[i]
-        u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j, k):
-        for row in w:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
-
-    def addmul_row(dst, src, q):
-        w[dst] = [x + q * y for x, y in zip(w[dst], w[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def addmul_col(dst, src, q):
-        for row in w:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    t = 0
-    while t < m and t < n:
-        i, j = _min_pivot(w, t, m, n)
-        if i is None:
+    d = []
+    while w and w[0]:
+        pivot = _min_pivot(w)
+        if pivot is None:
             break
-        if i != t:
-            swap_rows(t, i)
-        if j != t:
-            swap_cols(t, j)
-        while True:
-            # clear column t
-            progress = False
-            for i in range(t + 1, m):
-                if w[i][t]:
-                    q = w[i][t] // w[t][t]
-                    addmul_row(i, t, -q)
-                    if w[i][t]:
-                        swap_rows(t, i)
-                        progress = True
-            if progress:
-                continue
-            # clear row t
-            for j in range(t + 1, n):
-                if w[t][j]:
-                    q = w[t][j] // w[t][t]
-                    addmul_col(j, t, -q)
-                    if w[t][j]:
-                        swap_cols(t, j)
-                        progress = True
-            if progress:
-                continue
-            # pivot must divide the whole trailing block
-            p = w[t][t]
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if w[i][j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            addmul_row(t, bad, 1)
-        if w[t][t] < 0:
-            w[t] = [-x for x in w[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-
-    d = tuple(w[i][i] if i < n else 0 for i in range(min(m, n)))
-    # zero factors already trail because elimination stops when block is zero
-    return SmithForm(d, IntMat._wrap(tuple(map(tuple, u)), m),
-                     IntMat._wrap(tuple(map(tuple, v)), n))
+        i, j = pivot
+        w[0], w[i] = w[i], w[0]
+        for row in w:
+            row[0], row[j] = row[j], row[0]
+        p = w[0][0]
+        for i in range(1, len(w)):
+            q = w[i][0] // p
+            if q:
+                w[i] = [x - q * y for x, y in zip(w[i], w[0])]
+        for j in range(1, len(w[0])):
+            q = w[0][j] // p
+            if q:
+                for row in w:
+                    row[j] -= q * row[0]
+        if any(w[0][1:]) or any(row[0] for row in w[1:]):
+            continue
+        bad = next((row for row in w[1:] if any(x % p for x in row)), None)
+        if bad is None:
+            d.append(abs(p))
+            w = [row[1:] for row in w[1:]]
+        else:
+            w[0] = [x + y for x, y in zip(w[0], bad)]
+    return tuple(d) + (0,) * (min(a.rows, a.cols) - len(d))
 
 
 @dataclass(frozen=True)
@@ -579,12 +525,13 @@ TRIVIAL_GROUP = AbelianInvariants(())
 
 
 def cokernel_invariants(sub: IntMat, amb_rank: int) -> AbelianInvariants:
-    """Invariant factors of Z^amb_rank / rowspan(sub)."""
+    """Invariant factors of Z^amb_rank / rowspan(sub), read off the Smith
+    invariant factors of sub: the factors above 1 are the torsion, and
+    each zero or missing factor adds one to the free rank."""
     if sub.rows == 0:
         return AbelianInvariants((), amb_rank)
     assert sub.cols == amb_rank
-    d = snf(sub).d
-    nonzero = [x for x in d if x]
+    nonzero = [x for x in snf(sub) if x]
     return AbelianInvariants(tuple(x for x in nonzero if x > 1),
                              amb_rank - len(nonzero))
 
@@ -659,16 +606,15 @@ def _is_invertible_modp(rows, p):
 def lll_reduce(rows):
     """LLL-reduce (Lovasz constant 3/4) linearly independent integer vectors.
 
-    Returns (reduced rows, transform) with transform * rows_in = rows_out.
-    Exact rational Gram-Schmidt, computed once and updated in place on
-    each size reduction and swap (Cohen, A Course in Computational
-    Algebraic Number Theory, Alg. 2.6.3).
+    Returns the reduced rows, which span the same lattice.  Exact
+    rational Gram-Schmidt, computed once and updated in place on each size
+    reduction and swap (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.3).
     """
     b = [list(map(int, r)) for r in rows]
     n = len(b)
     if n <= 1:
-        return [list(r) for r in b], IntMat.identity(n)
-    t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        return b
 
     # mu[i][j] (j < i) and the squared norms bn[i] of the Gram-Schmidt
     # vectors b*_i = b_i - sum_j mu[i][j] b*_j
@@ -686,7 +632,6 @@ def lll_reduce(rows):
         q = round(mu[k][j])
         if q:
             b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-            t[k] = [x - q * y for x, y in zip(t[k], t[j])]
             mu[k][j] -= q
             for l in range(j):
                 mu[k][l] -= q * mu[j][l]
@@ -700,7 +645,6 @@ def lll_reduce(rows):
             k += 1
             continue
         b[k], b[k - 1] = b[k - 1], b[k]
-        t[k], t[k - 1] = t[k - 1], t[k]
         for j in range(k - 1):
             mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
         m = mu[k][k - 1]
@@ -713,7 +657,7 @@ def lll_reduce(rows):
             mu[i][k] = mu[i][k - 1] - m * x
             mu[i][k - 1] = x + mu[k][k - 1] * mu[i][k]
         k = max(k - 1, 1)
-    return b, IntMat(t)
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +724,7 @@ def unimodular_in_lattice(basis, bound=20000):
     indep = [row for row in f.h.data if any(row)]
     # exact-rational LLL is only worthwhile for modest flattened dimensions
     if size * size <= 600 and len(indep) <= 30:
-        reduced, _ = lll_reduce(indep)
+        reduced = lll_reduce(indep)
     else:
         reduced = indep
     columns = list(zip(*reduced))

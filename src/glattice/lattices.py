@@ -638,7 +638,7 @@ def subgroup_tate_profiles(m: GLattice):
     profiles = []
     for c in classes:
         s = c.representative.members
-        gens = g.generating_set(s)
+        gens = c.representative.generators()
         seen = set()
         profile = []
         for x, cid in class_of.items():
@@ -926,10 +926,10 @@ def _assemble_basis(orbits, rank, points):
     Partial selections are pruned unless their first rank rows stay
     linearly independent mod 2 (a unimodular matrix is invertible over
     F_2; any rank of the points of J_X form a basis), which collapses the
-    combinatorics when many orbits share a size.  Surviving complete
-    selections go through the unimodularity screen of
-    `intlinalg._first_unimodular`; the search gives up after 100000 of
-    them."""
+    combinatorics when many orbits share a size.  Complete selections go
+    through the unimodularity screen of `intlinalg._first_unimodular`.
+    The search gives up once it has tried 100000 extensions of a partial
+    selection by one orbit."""
     orbits = sorted(orbits, key=lambda om: (-len(om[0]), om[0]))
     tries = [0]
 
@@ -951,7 +951,6 @@ def _assemble_basis(orbits, rank, points):
 
     def rec(i, chosen, total, pivots):
         if total == points:
-            tries[0] += 1
             rows = [list(v) for o in chosen for v in o]
             if points > rank and any(map(sum, zip(*rows))):
                 return None
@@ -960,12 +959,13 @@ def _assemble_basis(orbits, rank, points):
                                  lambda i: IntMat(square)) is not None:
                 return rows
             return None
-        if i == len(orbits) or tries[0] > 100000:
-            return None
         for j in range(i, len(orbits)):
             o, masks = orbits[j]
             if total + len(o) > points:
                 continue
+            tries[0] += 1
+            if tries[0] > 100000:
+                return None
             np2 = eliminate(pivots, masks[:rank - total])
             if np2 is None:
                 continue

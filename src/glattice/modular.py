@@ -325,8 +325,8 @@ def is_permutation_modp(m: ModpModule):
 
     def fixed_at(pos):
         if pos not in fixed:
-            gens = group.generating_set(reps[pos].members)
-            cols = _fixed_basis([tuple(zip(*m.action[s])) for s in gens],
+            cols = _fixed_basis([tuple(zip(*m.action[s]))
+                                 for s in reps[pos].generators()],
                                 m.dim, p)
             fixed[pos] = (cols, [[sum(x * y for x, y in zip(v, f)) % p
                                   for v in socle] for f in cols])

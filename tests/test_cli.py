@@ -103,6 +103,15 @@ def test_classify_json_carries_the_verdict_note(capsys):
     assert verdict["note"] == "not stably rational (integral obstruction)"
 
 
+def test_classify_assembles_a_basis_of_z_g_squared(capsys):
+    # Z[G]^2 for |G| = 8, rank 16: the orbit-basis assembly stops after
+    # a bounded number of tried extensions, so classify finishes
+    code, out = run_json(capsys, "classify", "--group", "dade-2-1",
+                         "--lattice", "ind(trivial,std)")
+    assert code == 0
+    assert out["results"]["verdict"]["level"] == "HereditarilyRational"
+
+
 def test_norm_one_decision_table(capsys):
     code, out = run_json(capsys, "norm-one", "--group", "dade-2-1",
                          "--stabilizer", "gens:[a]")
@@ -139,7 +148,7 @@ def test_verify_paper_census2(capsys):
 
 
 def test_verify_paper_census4(capsys, monkeypatch):
-    # the full case takes about a minute and a half; the dim-2 roots run
+    # the full case takes several seconds; the dim-2 roots run
     # the same pipeline against their own class count
     monkeypatch.setattr(catalog, "DIM4_ROOTS", catalog.DIM2_ROOTS)
     code, out = run_json(capsys, "verify-paper", "--case", "census-4")
@@ -259,6 +268,13 @@ def test_non_normal_subgroup_or_size_below_one_is_an_input_error(
                          "--lattice", expr)
     assert code == 2
     assert message in out["error"]
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_census_budget_below_one_is_an_input_error(capsys, budget):
+    code, out = run_json(capsys, "census", "--dim", "2", "--budget", budget)
+    assert code == 2
+    assert "at least 1" in out["error"]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -236,9 +236,10 @@ def test_glz_reflection_classes_distinct_mod_2():
 
 
 def test_iter_isomorphisms_counts():
-    # S3 has 6 automorphisms (all inner)
+    # S3 has 6 automorphisms, all inner, so each one keeps the
+    # characteristic polynomial of every element
     s3 = closure([perm_mat([1, 2, 0]), perm_mat([1, 0, 2])])
-    isos = list(iter_isomorphisms(s3, s3, match_charpoly=False))
+    isos = list(iter_isomorphisms(s3, s3))
     assert len(isos) == 6
     for f in isos:
         assert sorted(f) == list(range(6))

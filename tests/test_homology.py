@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from glattice.catalog import entry
-from glattice.intlinalg import IntMat
+from glattice.intlinalg import IntMat, hnf, solve_left
 from glattice.groups import all_subgroups, closure, double_coset_table
 from glattice.homology import (
     DegreesNotCoprime,
@@ -22,7 +22,12 @@ from glattice.homology import (
     stably_permutation_obstruction,
     verify_exact,
 )
-from glattice.homology import _extended_system, _multiplicity, _prime_powers
+from glattice.homology import (
+    _extended_system,
+    _infeasibility_certificate,
+    _multiplicity,
+    _prime_powers,
+)
 from glattice.lattices import (
     EquivariantMap,
     GLattice,
@@ -362,6 +367,34 @@ def test_obstruction_witness_integer_check_matches_rationals():
         assert bad.verify() == fraction_verify(bad)
         verdicts.add(bad.verify())
     assert verdicts == {True, False}
+
+
+def test_infeasibility_certificate_exactly_when_unsolvable_2400():
+    # x * mat = rhs on random small systems: a certificate exists exactly
+    # when solve_left finds no integral solution, and each one passes both
+    # the integer and the rational check.  Both reasons for no solution
+    # occur: rhs outside the rational row span, and inside it but not in
+    # the integral one.
+    from glattice.homology import ObstructionWitness
+
+    rng = random.Random(1511)
+    reasons = set()
+    for _ in range(2400):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        mat = IntMat([[rng.randint(-4, 4) for _ in range(n)]
+                      for _ in range(m)])
+        rhs = tuple(rng.randint(-6, 6) for _ in range(n))
+        proof = _infeasibility_certificate(mat, rhs)
+        solvable = solve_left(mat, IntMat([list(rhs)])) is not None
+        assert (proof is None) == solvable
+        if proof is None:
+            continue
+        assert len(proof) == n
+        w = ObstructionWitness((), (), mat, rhs, (), proof)
+        assert w.verify() and fraction_verify(w)
+        in_span = hnf(mat.stack(IntMat([list(rhs)]))).rank == hnf(mat).rank
+        reasons.add("integral" if in_span else "rational")
+    assert reasons == {"integral", "rational"}
 
 
 def test_quasi_permutation_rank_zero():

@@ -181,18 +181,18 @@ def test_int64_product_takes_the_python_path_past_the_guard():
 
 
 def test_snf_identity():
-    assert snf(IntMat.identity(3)).d == (1, 1, 1)
+    assert snf(IntMat.identity(3)) == (1, 1, 1)
 
 
 def test_snf_frozen_examples():
     # expected values frozen from the minors-gcd oracle
     a = IntMat([[2, 4], [6, 8]])
     assert minors_gcd_invariants(a) == [2, 4]
-    assert snf(a).d == (2, 4)
+    assert snf(a) == (2, 4)
 
     b = IntMat.diag([6, 4])
     assert minors_gcd_invariants(b) == [2, 12]
-    assert snf(b).d == (2, 12)
+    assert snf(b) == (2, 12)
 
 
 def test_hnf_frozen_examples():
@@ -268,15 +268,9 @@ def test_snf_hnf_random_identities_1000():
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         a = random_mat(rng, m, n)
-        s = snf(a)
-        assert s.u.det() in (1, -1)
-        assert s.v.det() in (1, -1)
-        prod = s.u * a * s.v
-        for i in range(m):
-            for j in range(n):
-                expect = s.d[i] if i == j and i < len(s.d) else 0
-                assert prod.data[i][j] == expect
-        for x, y in zip(s.d, s.d[1:]):
+        d = snf(a)
+        assert len(d) == min(m, n) and all(x >= 0 for x in d)
+        for x, y in zip(d, d[1:]):
             assert (x == 0 and y == 0) or (x != 0 and y % x == 0)
         f = hnf(a)
         assert f.u.det() in (1, -1)
@@ -302,7 +296,7 @@ def test_snf_conjugation_invariance():
         a = random_mat(rng, n, n)
         p = random_unimodular(rng, n)
         q = random_unimodular(rng, n)
-        assert snf(a).d == snf(p * a * q).d
+        assert snf(a) == snf(p * a * q)
 
 
 def test_minors_oracle_random():
@@ -311,7 +305,7 @@ def test_minors_oracle_random():
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
         a = random_mat(rng, m, n, -6, 6)
-        assert list(snf(a).d) == minors_gcd_invariants(a)
+        assert list(snf(a)) == minors_gcd_invariants(a)
 
 
 def test_cokernel_vs_brute_force():
@@ -365,9 +359,8 @@ def test_lll_preserves_lattice(n, seed):
     a = random_mat(rng, n, n, -9, 9)
     if a.det() == 0:
         return
-    reduced, t = lll_reduce(a.data)
-    assert t.det() in (1, -1)
-    assert t * a == IntMat(reduced)
+    reduced = lll_reduce(a.data)
+    assert hnf(IntMat(reduced)).h == hnf(a).h
 
 
 def gram_schmidt(rows):
@@ -394,8 +387,8 @@ def test_lll_output_is_reduced():
         if 0 in gram_schmidt(a.data)[1]:
             continue
         tried += 1
-        reduced, t = lll_reduce(a.data)
-        assert t * a == IntMat(reduced)
+        reduced = lll_reduce(a.data)
+        assert hnf(IntMat(reduced)).h == hnf(a).h
         mu, norms = gram_schmidt(reduced)
         for k in range(1, n):
             assert all(abs(mu[k][j]) <= Fraction(1, 2) for j in range(k))
