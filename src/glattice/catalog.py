@@ -524,41 +524,61 @@ def census(roots, budget=60000) -> CensusReport:
     separate e.g. the two reflection classes in GL_2(Z)).  The profiles
     of all subgroup classes of a root come from one Tate table of the
     root.  Raises UndecidedPairs when any comparison exhausts its budget.
+
+    Before any search, a class is merged through a shared subgroup.  Every
+    member set in a class's conjugation orbit is a root-conjugate of its
+    representative, so when the same set of matrices lies in the orbits
+    of two classes, g1 S1 g1^-1 = g2 S2 g2^-1 with g1, g2 in GL_r(Z) and
+    the two representatives are Z-conjugate.  Each matrix of the roots
+    gets one census-wide id and each orbit member set the bitmask of its
+    ids; the keys of every class that joins or founds a record point to
+    that record, and a class with a known key joins it.  When no pair is
+    undecided the records are pairwise not Z-conjugate, so this is the
+    record the search would have found.
     """
     reps = []
+    ids = {}  # matrix -> census-wide id
     roots = [entry(e) if isinstance(e, str) else e for e in roots]
     for e in roots:
         g = e.group()
+        bits = [1 << ids.setdefault(m, len(ids)) for m in g.elements]
         orders, charpolys = g.element_orders, g.charpolys
         profiles = subgroup_tate_profiles(std_lattice(g))
-        for idx, cls in enumerate(all_subgroups(g).representatives()):
-            by_elt = sorted((orders[i], charpolys[i]) for i in cls.members)
-            fp = (g.rank, cls.order, tuple(by_elt), profiles[idx])
-            sub = cls.as_group()
-            reps.append((fp, _canon_key(sub), e.name, idx, sub))
+        for idx, cls in enumerate(all_subgroups(g).classes):
+            h = cls.representative
+            by_elt = sorted((orders[i], charpolys[i]) for i in h.members)
+            fp = (g.rank, h.order, tuple(by_elt), profiles[idx])
+            keys = [sum(bits[i] for i in m) for m in cls.orbit]
+            sub = h.as_group()
+            reps.append((fp, _canon_key(sub), e.name, idx, sub, keys))
     # canonical processing order makes the census root-order independent
-    reps.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
+    reps.sort(key=lambda t: t[:4])
 
     buckets = {}
+    owner = {}  # orbit key -> the record its class joined or founded
     undecided = []
     classes = []  # parallel to records below
-    for fp, _key, root, idx, sub in reps:
-        merged = False
-        for rec in buckets.setdefault(fp, []):
-            try:
-                glz_conjugate(rec.representative, sub, budget=budget)
-                rec.members.append((root, idx))
-                merged = True
-                break
-            except ProvablyDistinct:
-                continue
-            except BudgetExhausted:
-                undecided.append(((rec.members[0], (root, idx)), fp))
-                continue
-        if not merged:
-            rec = ZClassRecord("", sub, [(root, idx)], fp)
-            buckets[fp].append(rec)
-            classes.append(rec)
+    for fp, _key, root, idx, sub, keys in reps:
+        rec = next((owner[k] for k in keys if k in owner), None)
+        if rec is not None:
+            assert rec.fingerprint == fp
+        else:
+            for rec in buckets.setdefault(fp, []):
+                try:
+                    glz_conjugate(rec.representative, sub, budget=budget)
+                    break
+                except ProvablyDistinct:
+                    continue
+                except BudgetExhausted:
+                    undecided.append(((rec.members[0], (root, idx)), fp))
+                    continue
+            else:
+                rec = ZClassRecord("", sub, [], fp)
+                buckets[fp].append(rec)
+                classes.append(rec)
+        rec.members.append((root, idx))
+        for k in keys:
+            owner.setdefault(k, rec)
     classes.sort(key=lambda r: (r.fingerprint,
                                 _canon_key(r.representative)))
     for i, rec in enumerate(classes):

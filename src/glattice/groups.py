@@ -62,6 +62,7 @@ class FiniteMatrixGroup:
         self._orders = None
         self._charpolys = None
         self._conj_class_of = None
+        self._generating_sequence = None
         self._subgroups = None
         self._double_coset_table = None
 
@@ -132,8 +133,15 @@ class FiniteMatrixGroup:
 
     @property
     def charpolys(self):
+        """charpolys[i] = characteristic polynomial of elements[i].
+
+        Conjugate matrices share it, so it is computed once per conjugacy
+        class of `conj_class_of` and copied to the other elements.
+        """
         if self._charpolys is None:
-            self._charpolys = [m.charpoly() for m in self.elements]
+            cls = self.conj_class_of
+            per_class = {c: self.elements[c].charpoly() for c in set(cls)}
+            self._charpolys = [per_class[c] for c in cls]
         return self._charpolys
 
     @property
@@ -204,6 +212,14 @@ class FiniteMatrixGroup:
                 if len(have) == len(members):
                     break
         return chosen
+
+    @property
+    def generating_sequence(self):
+        """`generating_set` of the whole group, computed once."""
+        if self._generating_sequence is None:
+            self._generating_sequence = tuple(self.generating_set(
+                frozenset(range(self.order))))
+        return self._generating_sequence
 
     def subgroup(self, members):
         return Subgroup(self, frozenset(members))
@@ -622,7 +638,7 @@ def iter_isomorphisms(g1: FiniteMatrixGroup, g2: FiniteMatrixGroup,
     if g1.order != g2.order:
         return
     n = g1.order
-    gens = g1.generating_set(frozenset(range(g1.order)))
+    gens = g1.generating_sequence
     if not gens:
         yield [0] * 1
         return
@@ -723,7 +739,7 @@ def glz_conjugate(g1: FiniteMatrixGroup, g2: FiniteMatrixGroup,
         raise ProvablyDistinct("order mismatch")
     if sorted(g1.charpolys) != sorted(g2.charpolys):
         raise ProvablyDistinct("characteristic polynomial multiset mismatch")
-    gens = g1.generating_set(frozenset(range(g1.order)))
+    gens = g1.generating_sequence
     if not gens:  # trivial groups
         return IntMat.identity(g1.rank)
     found_iso = False

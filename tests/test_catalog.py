@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from glattice import groups
+from glattice import catalog, groups
 from glattice.intlinalg import IntMat, unimodular_in_lattice
 from glattice.catalog import (
     BUILDERS,
@@ -270,9 +270,9 @@ def test_census_dim3_conjugating_matrices_are_pinned(monkeypatch):
 
     monkeypatch.setattr(groups, "unimodular_in_lattice", record)
     census(DIM3_ROOTS)
-    assert len(found) == 55 and None not in found
+    assert len(found) == 25 and None not in found
     assert hashlib.sha256(repr(found).encode()).hexdigest() == (
-        "585d00c094c3f47b3c23357cd7f05e330ecff1854f5850a962ae2663b63b6c39")
+        "4b478028711a42f99a1a53def68e9edc6f75a11eab10986621578cd23c65a014")
 
 
 def test_census_dim3_rational_union():
@@ -282,7 +282,43 @@ def test_census_dim3_rational_union():
 
 def test_census_tiny_budget_raises_undecided():
     with pytest.raises(UndecidedPairs) as exc:
-        census(DIM2_ROOTS, budget=1)
+        census(DIM3_ROOTS, budget=1)
     rep = exc.value.report
     assert rep.undecided_pairs
-    assert rep.count >= DIM2_CLASS_COUNT  # unmerged pairs only add classes
+    assert rep.count >= DIM3_CLASS_COUNT  # unmerged pairs only add classes
+
+
+def test_census_dim2_needs_no_conjugacy_search(monkeypatch):
+    # in dimension 2 the fingerprints separate the Z-classes, and each
+    # class with the fingerprint of an earlier one shares a subgroup with
+    # it, so the census merges without a single search
+    def fail(*args, **kwargs):
+        raise AssertionError("glz_conjugate called")
+
+    monkeypatch.setattr(catalog, "glz_conjugate", fail)
+    assert census(DIM2_ROOTS, budget=1).count == DIM2_CLASS_COUNT == 13
+
+
+@pytest.mark.parametrize("roots", [DIM3_ROOTS, DIM3_HEREDITARY_ROOTS])
+def test_census_shared_subgroup_merges_are_conjugate(monkeypatch, roots):
+    # every member after a record's founder joined it by a successful
+    # search or through a shared subgroup; both kinds must be conjugate
+    # to the representative
+    searched = []
+
+    def record(g1, g2, budget):
+        x = groups.glz_conjugate(g1, g2, budget=budget)
+        searched.append(x)
+        return x
+
+    monkeypatch.setattr(catalog, "glz_conjugate", record)
+    rep = census(roots)
+    joined = [(rec.representative, root, idx)
+              for rec in rep.classes for root, idx in rec.members[1:]]
+    assert len(joined) > len(searched)  # some merges skipped the search
+    for r, root, idx in joined:
+        cls = groups.all_subgroups(entry(root).group()).classes[idx]
+        member = cls.representative.as_group()
+        x = groups.glz_conjugate(r, member)
+        xinv = x.inverse_unimodular()
+        assert {x * m * xinv for m in r.elements} == set(member.elements)

@@ -318,6 +318,12 @@ def test_conj_class_of_matches_conjugation_by_all_elements():
                                for i in range(g.order)]
 
 
+def test_charpolys_per_class_match_every_element():
+    for e in catalog.builtin_catalog():
+        g = closure(list(e.generators))
+        assert g.charpolys == [m.charpoly() for m in g.elements]
+
+
 def test_as_group_carries_orders_and_charpolys():
     g = catalog.entry("dade-4-6").group()
     g.element_orders, g.charpolys  # computed on the parent, so carried over
