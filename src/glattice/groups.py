@@ -64,6 +64,7 @@ class FiniteMatrixGroup:
         self._conj_class_of = None
         self._generating_sequence = None
         self._subgroups = None
+        self._cyclic_subgroups = None
         self._double_coset_table = None
 
     # -- basic data --------------------------------------------------------
@@ -494,6 +495,35 @@ def _is_prime_power(k):
     return len(_prime_factors(k)) == 1
 
 
+def cyclic_subgroup_classes(g: FiniteMatrixGroup):
+    """The nontrivial cyclic subgroups of g up to conjugacy, without the
+    subgroup lattice; cached on g.
+
+    Conjugate elements generate conjugate subgroups, so <x> for one x per
+    class of `conj_class_of` meets every class.  Each class is given by
+    the least member set of its conjugation orbit and the classes are
+    sorted by (order, sorted members): the same subgroups, in the same
+    order, as the nontrivial cyclic entries of
+    all_subgroups(g).representatives().
+    """
+    if g._cyclic_subgroups is None:
+        cls = g.conj_class_of
+        seen = set()
+        reps = []
+        for x in range(1, g.order):
+            if cls[x] != x:
+                continue
+            cyc = frozenset(g.powers(x))
+            if cyc in seen:
+                continue
+            orbit = _subgroup_orbit(g, cyc)
+            seen |= orbit
+            reps.append(Subgroup(g, min(orbit, key=sorted)))
+        reps.sort(key=lambda h: (h.order, h.sorted_members))
+        g._cyclic_subgroups = tuple(reps)
+    return g._cyclic_subgroups
+
+
 def sylow(g: FiniteMatrixGroup, p: int) -> Subgroup:
     """A Sylow p-subgroup of g (canonical: the lexicographically least
     member set in its conjugacy class)."""
@@ -554,17 +584,50 @@ def double_cosets(g: FiniteMatrixGroup, a: Subgroup, b: Subgroup):
 
 def double_coset_table(g: FiniteMatrixGroup):
     """table[d][h] = the orders |D n xHx^-1| over the double cosets D\\G/H,
-    for D, H running over the subgroup class representatives; cached on g.
+    in order of least element, for D, H running over the subgroup class
+    representatives; cached on g.
 
     By Mackey and Shapiro (Brown, Cohomology of Groups, GTM 87, III.5-6)
     H^0(H, Z[G/D]) is the sum of Z/|D n xHx^-1|, and len(table[d][h]) is
-    the number of H-orbits on the cosets of D.
+    the number of H-orbits on the cosets of D.  The double coset D x H is
+    the H-orbit of the right coset D x under right multiplication, with
+    |H| / |D n xHx^-1| cosets in it, so each entry is one search of those
+    orbits along the generators of H.
     """
     if g._double_coset_table is None:
+        t = g.table
         reps = all_subgroups(g).representatives()
-        g._double_coset_table = tuple(
-            tuple(tuple(s.order for _x, s in double_cosets(g, d, h))
-                  for h in reps) for d in reps)
+        rows = []
+        for d in reps:
+            # right cosets D x numbered by least element x, in that order
+            coset_of = [-1] * g.order
+            least = []
+            for x in range(g.order):
+                if coset_of[x] < 0:
+                    for a in d.members:
+                        coset_of[t[a][x]] = len(least)
+                    least.append(x)
+            row = []
+            for h in reps:
+                moves = [[coset_of[t[x][s]] for x in least]
+                         for s in h.generators()]
+                seen = bytearray(len(least))
+                sizes = []
+                for c in range(len(least)):
+                    if seen[c]:
+                        continue
+                    seen[c] = 1
+                    orbit = [c]
+                    for y in orbit:
+                        for move in moves:
+                            z = move[y]
+                            if not seen[z]:
+                                seen[z] = 1
+                                orbit.append(z)
+                    sizes.append(h.order // len(orbit))
+                row.append(tuple(sizes))
+            rows.append(tuple(row))
+        g._double_coset_table = tuple(rows)
     return g._double_coset_table
 
 

@@ -45,9 +45,9 @@ from .groups import (
     FiniteMatrixGroup,
     ProvablyDistinct,
     Subgroup,
-    _is_cyclic,
     _subgroup_orbit,
     all_subgroups,
+    cyclic_subgroup_classes,
 )
 
 
@@ -588,11 +588,8 @@ def _cyclic_tate_groups(m: GLattice):
     on m, so callers that stop early (the recognizers' pre-screens) share
     one table per lattice and pay only for the prefix they read.
     """
-    g = m.group
-    reps = [h for h in all_subgroups(g).representatives()
-            if h.order > 1 and _is_cyclic(g, h.members)]
     table = m._cyclic_tate
-    for i, h in enumerate(reps):
+    for i, h in enumerate(cyclic_subgroup_classes(m.group)):
         if i == len(table):
             table.append(tate(m, h, -1))
         yield table[i]
@@ -677,9 +674,7 @@ def find_isomorphism(m: GLattice, n: GLattice, budget=20000) -> EquivariantMap:
         return EquivariantMap(m, n, IntMat.zeros(0, 0))
     if m.character() != n.character():
         raise ProvablyDistinct("character mismatch")
-    for h in all_subgroups(m.group).representatives():
-        if not _is_cyclic(m.group, h.members):
-            continue
+    for h in cyclic_subgroup_classes(m.group):
         for k in (-1, 0):
             if tate(m, h, k) != tate(n, h, k):
                 raise ProvablyDistinct(
@@ -825,7 +820,21 @@ def _orbit_basis_search(m: GLattice, budget, up_to_sign, points):
     """A union of G-orbits of short vectors, `points` vectors in all: a
     unimodular basis when points == rank, the images of the points of X
     in M = J_X (zero column sum, first rank rows unimodular) when
-    points == rank + 1.  None when nothing is found within the budget."""
+    points == rank + 1.  None when nothing is found within the budget.
+
+    The search seeds with the fixed sublattices of the subgroups of index
+    <= points, except when points <= rank, rank >= 2 and
+    sum chi(g)^2 = |G| for the character chi of M: then <chi, chi> = 1,
+    as integer characters are real, so M (x) C is irreducible (Serre,
+    Linear Representations of Finite Groups, 2.3), and every such fixed
+    sublattice is zero.  Proof: take v != 0 with |Gv| = j <= rank.  Its
+    orbit spans a nonzero submodule of M (x) Q, which is all of it by
+    irreducibility, so j = rank and the surjection Q[G/Stab v] -> M (x) Q
+    sending g Stab v to gv is an isomorphism.  But Q[G/Stab v] contains
+    the trivial representation, which irreducibility rules out for
+    rank >= 2.  So the subgroup lattice is not needed there.  For
+    points = rank + 1 (the points of J_X) the argument does not apply.
+    """
     rank = m.rank
     if rank == 0:
         return []
@@ -888,15 +897,18 @@ def _orbit_basis_search(m: GLattice, budget, up_to_sign, points):
     # index <= points, so it lies in the fixed sublattice of some subgroup
     # in that index range.  Those sublattices usually have small rank, so
     # enumerating short coefficient vectors on each of them reaches far
-    # beyond what a box search on the ambient lattice can afford.
+    # beyond what a box search on the ambient lattice can afford.  When
+    # M (x) C is irreducible there are none to seed (see above).
     fixed = []
-    for cls in all_subgroups(m.group).classes:
-        h = cls.representative
-        if m.group.order > h.order * points:
-            continue
-        fx = fixed_sublattice(m, h)
-        if fx.rows:
-            fixed.append(fx.data)
+    if not (points <= rank and rank >= 2
+            and sum(c * c for c in m.character()) == m.group.order):
+        for cls in all_subgroups(m.group).classes:
+            h = cls.representative
+            if m.group.order > h.order * points:
+                continue
+            fx = fixed_sublattice(m, h)
+            if fx.rows:
+                fixed.append(fx.data)
     fixed.sort(key=len)
     if rank <= 12:
         fixed.append([row[:] for row in IntMat.identity(rank).data])

@@ -12,9 +12,12 @@ from glattice.groups import (
     OrderCapExceeded,
     ProvablyDistinct,
     Subgroup,
+    _is_cyclic,
     _prime_factors,
     all_subgroups,
     closure,
+    cyclic_subgroup_classes,
+    double_coset_table,
     double_cosets,
     glz_conjugate,
     iter_isomorphisms,
@@ -297,6 +300,33 @@ def test_all_subgroups_catalog_digest():
                              tuple(tuple(sorted(m)) for m in c.orbit))
                             for c in cls.classes]).encode())
     assert digest.hexdigest() == SUBGROUP_LATTICE_DIGEST
+
+
+def test_cyclic_subgroup_classes_match_subgroup_lattice():
+    names = []
+    for e in catalog.builtin_catalog():
+        g = e.group()
+        want = [(h.order, h.sorted_members)
+                for h in all_subgroups(g).representatives()
+                if h.order > 1 and _is_cyclic(g, h.members)]
+        got = cyclic_subgroup_classes(g)
+        assert [(h.order, h.sorted_members) for h in got] == want, e.name
+        assert cyclic_subgroup_classes(g) is got
+        names.append(e.name)
+    assert "dade-4-9" in names
+
+
+def test_double_coset_table_matches_double_cosets():
+    """The orbit-size table against |D n xHx^-1| read off the dense
+    double cosets, on every catalog group of order <= 240."""
+    for e in catalog.builtin_catalog():
+        g = e.group()
+        if g.order > 240:
+            continue
+        reps = all_subgroups(g).representatives()
+        assert double_coset_table(g) == tuple(
+            tuple(tuple(s.order for _x, s in double_cosets(g, d, h))
+                  for h in reps) for d in reps), e.name
 
 
 @pytest.mark.parametrize("name", ["dade-2-1", "dade-3-3", "dade-4-6", "dade-4-8"])

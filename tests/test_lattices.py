@@ -13,7 +13,13 @@ from glattice.intlinalg import (
     solve_left,
     unimodular_in_lattice,
 )
-from glattice.groups import ProvablyDistinct, all_subgroups, closure, double_cosets
+from glattice.groups import (
+    ProvablyDistinct,
+    all_subgroups,
+    closure,
+    cyclic_subgroup_classes,
+    double_cosets,
+)
 from glattice.lattices import (
     EquivariantMap,
     GLattice,
@@ -22,7 +28,6 @@ from glattice.lattices import (
     PermutationWitness,
     SignPermutationWitness,
     _cyclic_tate_groups,
-    _is_cyclic,
     _orbit_basis_search,
     aug_ideal,
     coset_gset,
@@ -609,8 +614,7 @@ def test_cyclic_tate_table_is_computed_once_per_lattice(monkeypatch):
     from glattice import lattices
 
     m = twist(std_lattice(WB2), IntMat([[1, 1], [0, 1]]))
-    cyclic = [h for h in all_subgroups(WB2).representatives()
-              if h.order > 1 and _is_cyclic(WB2, h.members)]
+    cyclic = cyclic_subgroup_classes(WB2)
     # one entry per cyclic class: H^-1, which is also H^1 by periodicity
     want = [tate(m, h, -1) for h in cyclic]
     assert want == [tate(m, h, 1) for h in cyclic]
@@ -647,6 +651,23 @@ def test_prescreens_never_reject_a_lattice_the_search_recognizes(name):
                 target = dual(m) if extra else m
                 assert _orbit_basis_search(target, 2000, up_to_sign,
                                            m.rank + extra) is None
+
+
+def test_absolutely_irreducible_lattices_fix_nothing_at_small_index():
+    """The guard of _orbit_basis_search: when sum chi(g)^2 = |G| and the
+    rank is >= 2, no subgroup of index <= rank fixes a nonzero vector, so
+    skipping the subgroup lattice drops only empty seeds."""
+    checked = 0
+    for e in catalog.builtin_catalog():
+        for m in (e.lattice(), dual(e.lattice())):
+            g = m.group
+            if m.rank < 2 or sum(c * c for c in m.character()) != g.order:
+                continue
+            checked += 1
+            for h in all_subgroups(g).representatives():
+                if g.order // h.order <= m.rank:
+                    assert fixed_sublattice(m, h).rows == 0, e.name
+    assert checked == 40
 
 
 def test_tampered_permutation_witnesses_fail():

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import weakref
@@ -138,6 +139,19 @@ def test_recognize_aug_ideal_on_coset_gsets(m):
         for i, v in enumerate(pts):
             assert tuple((IntMat([list(v)]) * md.act(g)).data[0]) == \
                 tuple(pts[gset.perms[g][i]])
+
+
+def test_recognize_aug_ideal_seeds_an_absolutely_irreducible_dual():
+    """J_3 = I_3* is absolutely irreducible (sum chi(g)^2 = |S3|), but at
+    rank + 1 points the orbit search still seeds with the stabilizers'
+    fixed lines: after this change of basis every point lies outside the
+    coordinate box of radius 3."""
+    u = IntMat([[13, 8], [8, 5]])
+    ui = u.inverse_unimodular()
+    m = GLattice(S3, [u * a * ui for a in I3.action])
+    assert sum(c * c for c in dual(m).character()) == S3.order
+    _gset, pts = recognize_aug_ideal(m, budget=20000)
+    assert pts == ((-13, -8), (5, 3), (8, 5))
 
 
 def test_recognize_aug_ideal_refuses_a_not_retract_rational_lattice():
@@ -399,3 +413,19 @@ def test_norm_one_agrees_with_classify_small_cyclic():
             structural.implies(lattice_level.level)
         assert lattice_level.level in (STABLY_RATIONAL,
                                        HEREDITARILY_RATIONAL)
+
+
+def test_classify_absolutely_irreducible_without_subgroup_lattice():
+    """dade-4-8 (order 384) is decided by its sign-permutation basis; the
+    cyclic pre-screens read element classes and the orbit search seeds
+    with the coordinate box alone, so the subgroup lattice is never
+    built."""
+    e = dataclasses.replace(entry("dade-4-8"), _group=None)
+    m = e.lattice()
+    v = classify(m)
+    assert m.group._subgroups is None
+    [step] = v.certificate
+    assert v.level == HEREDITARILY_RATIONAL
+    assert step.kind == "sign_permutation_basis"
+    assert step.data["witness"].basis.data == (
+        (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))

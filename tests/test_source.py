@@ -113,3 +113,24 @@ def test_every_imported_name_is_read():
             unread.extend("%s:%d %s" % (path.name, line, name)
                           for name, line in names if name not in read)
     assert unread == []
+
+
+def test_cyclic_classes_only_from_groups():
+    """Outside groups.py, `_is_cyclic` is never applied to a subgroup
+    class (its representative, members or orbit): the cyclic classes come
+    from `groups.cyclic_subgroup_classes`, the one notion of them."""
+    subgroup_parts = {"all_subgroups", "representatives", "representative",
+                      "classes", "members", "orbit"}
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "groups.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "_is_cyclic"
+                    and subgroup_parts & {
+                        n.id if isinstance(n, ast.Name) else n.attr
+                        for arg in node.args for n in ast.walk(arg)
+                        if isinstance(n, (ast.Name, ast.Attribute))}):
+                bad.append("%s:%d" % (path.name, node.lineno))
+    assert bad == []
