@@ -40,7 +40,9 @@ class ProvablyDistinct(Exception):
 
 
 def _sort_key(m: IntMat):
-    return tuple(x for row in m.data for x in row)
+    """The order of group elements: by entries, row by row.  For matrices
+    of one shape the rows compare as the flattened entries do."""
+    return m.data
 
 
 class FiniteMatrixGroup:
@@ -168,9 +170,6 @@ class FiniteMatrixGroup:
             self._conj_class_of = cls
         return self._conj_class_of
 
-    def mul(self, i, j):
-        return self.table[i][j]
-
     def conjugate_set(self, members, g):
         t, inv = self.table, self.inv
         gi = inv[g]
@@ -255,6 +254,21 @@ class Subgroup:
     @functools.cached_property
     def _generators(self):
         return tuple(self.parent.generating_set(self.members))
+
+    @functools.cached_property
+    def right_cosets(self):
+        """(reps, coset_of): the right cosets Hx of the parent, numbered in
+        order of least element, each represented by that least element;
+        coset_of[x] is the number of Hx.  Computed once per subgroup."""
+        t = self.parent.table
+        coset_of = [-1] * self.parent.order
+        reps = []
+        for x in range(self.parent.order):
+            if coset_of[x] < 0:
+                for a in self.members:
+                    coset_of[t[a][x]] = len(reps)
+                reps.append(x)
+        return tuple(reps), tuple(coset_of)
 
     def matrices(self):
         return [self.parent.elements[i] for i in self.sorted_members]
@@ -582,6 +596,32 @@ def double_cosets(g: FiniteMatrixGroup, a: Subgroup, b: Subgroup):
     return out
 
 
+def coset_orbits(d: Subgroup, h: Subgroup):
+    """The H-orbits on the right cosets of D, as lists of coset numbers of
+    d.right_cosets, in order of least coset: the double cosets D x H.
+
+    H acts on the cosets by right multiplication, D x -> D x s, so each
+    orbit is one search along the generators of H."""
+    t = d.parent.table
+    reps, coset_of = d.right_cosets
+    moves = [[coset_of[t[x][s]] for x in reps] for s in h.generators()]
+    seen = bytearray(len(reps))
+    orbits = []
+    for c in range(len(reps)):
+        if seen[c]:
+            continue
+        seen[c] = 1
+        orbit = [c]
+        for y in orbit:
+            for move in moves:
+                z = move[y]
+                if not seen[z]:
+                    seen[z] = 1
+                    orbit.append(z)
+        orbits.append(orbit)
+    return orbits
+
+
 def double_coset_table(g: FiniteMatrixGroup):
     """table[d][h] = the orders |D n xHx^-1| over the double cosets D\\G/H,
     in order of least element, for D, H running over the subgroup class
@@ -590,44 +630,15 @@ def double_coset_table(g: FiniteMatrixGroup):
     By Mackey and Shapiro (Brown, Cohomology of Groups, GTM 87, III.5-6)
     H^0(H, Z[G/D]) is the sum of Z/|D n xHx^-1|, and len(table[d][h]) is
     the number of H-orbits on the cosets of D.  The double coset D x H is
-    the H-orbit of the right coset D x under right multiplication, with
-    |H| / |D n xHx^-1| cosets in it, so each entry is one search of those
-    orbits along the generators of H.
+    the H-orbit of the right coset D x (`coset_orbits`), with
+    |H| / |D n xHx^-1| cosets in it.
     """
     if g._double_coset_table is None:
-        t = g.table
         reps = all_subgroups(g).representatives()
-        rows = []
-        for d in reps:
-            # right cosets D x numbered by least element x, in that order
-            coset_of = [-1] * g.order
-            least = []
-            for x in range(g.order):
-                if coset_of[x] < 0:
-                    for a in d.members:
-                        coset_of[t[a][x]] = len(least)
-                    least.append(x)
-            row = []
-            for h in reps:
-                moves = [[coset_of[t[x][s]] for x in least]
-                         for s in h.generators()]
-                seen = bytearray(len(least))
-                sizes = []
-                for c in range(len(least)):
-                    if seen[c]:
-                        continue
-                    seen[c] = 1
-                    orbit = [c]
-                    for y in orbit:
-                        for move in moves:
-                            z = move[y]
-                            if not seen[z]:
-                                seen[z] = 1
-                                orbit.append(z)
-                    sizes.append(h.order // len(orbit))
-                row.append(tuple(sizes))
-            rows.append(tuple(row))
-        g._double_coset_table = tuple(rows)
+        g._double_coset_table = tuple(
+            tuple(tuple(h.order // len(o) for o in coset_orbits(d, h))
+                  for h in reps)
+            for d in reps)
     return g._double_coset_table
 
 
@@ -706,8 +717,7 @@ def iter_isomorphisms(g1: FiniteMatrixGroup, g2: FiniteMatrixGroup,
         yield [0] * 1
         return
     o1, o2 = g1.element_orders, g2.element_orders
-    cs1 = {i: s for i, s in _class_size_map(g1).items()}
-    cs2 = {i: s for i, s in _class_size_map(g2).items()}
+    cs1, cs2 = _class_size_map(g1), _class_size_map(g2)
     cp1, cp2 = g1.charpolys, g2.charpolys
 
     def candidates(a):
@@ -721,8 +731,6 @@ def iter_isomorphisms(g1: FiniteMatrixGroup, g2: FiniteMatrixGroup,
             yield b
 
     count = 0
-    t1, t2 = g1.table, g2.table
-
     subdomains = [g1.closure_indices(gens[:d + 1]) for d in range(len(gens))]
 
     def extend(depth, partial_f):

@@ -32,15 +32,14 @@ from .groups import (
     Subgroup,
     _prime_factors,
     all_subgroups,
+    coset_orbits,
     double_coset_table,
 )
 from .lattices import (
     EquivariantMap,
     GLattice,
-    coset_gset,
     coset_gset_sum,
     coset_lattice,
-    coset_transversal,
     direct_sum,
     dual,
     find_isomorphism,
@@ -146,10 +145,9 @@ def parts_lattice(group: FiniteMatrixGroup, parts, name=None) -> GLattice:
 
 def _coset_images(m: GLattice, k: Subgroup, u):
     """Rows of the map Z[G/K] -> M sending the coset Kt to u * act(t), for
-    a K-fixed row u; cosets in coset_transversal order."""
-    reps, _ = coset_transversal(m.group, k)
+    a K-fixed row u; cosets in k.right_cosets order."""
     urow = IntMat([list(u)])
-    return [list((urow * m.act(t)).data[0]) for t in reps]
+    return [list((urow * m.act(t)).data[0]) for t in k.right_cosets[0]]
 
 
 def _hom_coset_to_lat(h: Subgroup, n: GLattice):
@@ -255,20 +253,12 @@ def solve_in_hom(hom_mats, products, rhs):
 # resolutions
 # ---------------------------------------------------------------------------
 
-def _fixed_image_rows(m: GLattice, k: Subgroup, u, h: Subgroup):
-    """Images in M of an H-fixed basis of the summand Z[G/K] mapping
-    coset Kt -> u * act(t): one row per H-orbit of cosets, the orbit sum."""
-    images = _coset_images(m, k, u)
-    perms = coset_gset(m.group, k).perms
-    seen = set()
-    rows = []
-    for i in range(len(images)):
-        if i in seen:
-            continue
-        orbit = {perms[g][i] for g in h.members}
-        seen |= orbit
-        rows.append([sum(col) for col in zip(*(images[j] for j in orbit))])
-    return rows
+def _fixed_image_rows(images, k: Subgroup, h: Subgroup):
+    """Images in M of an H-fixed basis of the summand Z[G/K], given the
+    images of its cosets (`_coset_images`): one row per H-orbit of
+    cosets, the orbit sum."""
+    return [[sum(col) for col in zip(*(images[j] for j in orbit))]
+            for orbit in coset_orbits(k, h)]
 
 
 def coflasque_resolution(m: GLattice) -> ExactSequenceCert:
@@ -290,24 +280,25 @@ def coflasque_resolution(m: GLattice) -> ExactSequenceCert:
                                  mid_parts=())
     reps = sorted(all_subgroups(group).representatives(),
                   key=lambda h: (-h.order, h.sorted_members))
-    chosen = []          # (Subgroup K, fixed vector u of M^K)
+    chosen = []    # (Subgroup K, images of the cosets of K for u in M^K)
     for h in reps:
         fix = fixed_sublattice(m, h)
         if fix.rows == 0:
             continue
         image_rows = []
-        for k, u in chosen:
-            image_rows.extend(_fixed_image_rows(m, k, u, h))
+        for k, images in chosen:
+            image_rows.extend(_fixed_image_rows(images, k, h))
         for u in fix.data:
             urow = IntMat([list(u)])
             if image_rows and \
                     solve_left(IntMat(image_rows), urow) is not None:
                 continue
-            chosen.append((h, tuple(u)))
-            image_rows.extend(_fixed_image_rows(m, h, u, h))
+            images = _coset_images(m, h, u)
+            chosen.append((h, images))
+            image_rows.extend(_fixed_image_rows(images, h, h))
     parts = tuple(h for h, _ in chosen)
     p = parts_lattice(group, parts)
-    pi_rows = [row for h, u in chosen for row in _coset_images(m, h, u)]
+    pi_rows = [row for _, images in chosen for row in images]
     return sequence_from_surjection(p, m, IntMat(pi_rows), mid_parts=parts)
 
 
@@ -625,13 +616,15 @@ def _extended_system(f: GLattice):
     the H^0 multiplicity system."""
     group = f.group
     reps, mat, rhs, _labels = _h0_system(f)
+    t, inv = group.table, group.inv
     class_reps = sorted(set(group.conj_class_of))
     fchar = f.character()
-    # the character of Z[G/D] counts the cosets of D an element fixes
+    # the character of Z[G/D] counts the cosets D x an element c fixes,
+    # and D x c = D x exactly when x c x^-1 is in D
     rows = []
     for d, h0_row in zip(reps, mat.data):
-        perms = coset_gset(group, d).perms
-        rows.append([sum(i == j for i, j in enumerate(perms[c]))
+        xs = d.right_cosets[0]
+        rows.append([sum(t[t[x][c]][inv[x]] in d.members for x in xs)
                      for c in class_reps] + list(h0_row))
     return reps, IntMat(rows), tuple(fchar[c] for c in class_reps) + rhs
 

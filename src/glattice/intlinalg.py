@@ -102,9 +102,6 @@ class IntMat:
         i, j = ij
         return self.data[i][j]
 
-    def row(self, i):
-        return self.data[i]
-
     @property
     def shape(self):
         return (self.rows, self.cols)
@@ -153,17 +150,6 @@ class IntMat:
                             other.cols)
 
     __matmul__ = __mul__
-
-    def pow(self, k):
-        assert self.is_square() and k >= 0
-        result = IntMat.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def stack(self, other):
         """Vertical concatenation."""

@@ -45,6 +45,7 @@ from .groups import (
     FiniteMatrixGroup,
     ProvablyDistinct,
     Subgroup,
+    _sort_key,
     _subgroup_orbit,
     all_subgroups,
     cyclic_subgroup_classes,
@@ -158,12 +159,6 @@ def _action_from_generators(group: FiniteMatrixGroup, gen_images):
     return action
 
 
-def lattice_from_gen_action(group: FiniteMatrixGroup, gen_images, name=None):
-    """Build the full action from matrices for group.generator_indices."""
-    return GLattice(group, _action_from_generators(group, gen_images),
-                    name=name)
-
-
 @dataclass(frozen=True)
 class GSet:
     """A finite right G-set: perms[g][i] = image of point i under g."""
@@ -255,28 +250,12 @@ def trivial_lattice(g: FiniteMatrixGroup, rank=1) -> GLattice:
     return GLattice(g, [ident] * g.order, name="Z^%d" % rank if rank != 1 else "Z")
 
 
-def coset_transversal(g: FiniteMatrixGroup, h: Subgroup):
-    """(reps, coset_of): right-coset transversal of h in g, cosets ordered
-    (and represented) by least element index."""
-    n = g.order
-    t = g.table
-    coset_of = [-1] * n
-    reps = []
-    for x in range(n):
-        if coset_of[x] >= 0:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for hi in h.members:
-            coset_of[t[hi][x]] = idx
-    return reps, coset_of
-
-
 def coset_gset(g: FiniteMatrixGroup, h: Subgroup) -> GSet:
-    """Right-coset space of h in g, cosets ordered by least element index."""
+    """Right-coset space of h in g, cosets numbered as in h.right_cosets."""
+    assert h.parent is g
     t = g.table
-    reps, coset_of = coset_transversal(g, h)
-    perms = tuple(tuple(coset_of[t[reps[i]][gg]] for i in range(len(reps)))
+    reps, coset_of = h.right_cosets
+    perms = tuple(tuple(coset_of[t[x][gg]] for x in reps)
                   for gg in range(g.order))
     return GSet(g, len(reps), perms)
 
@@ -450,12 +429,12 @@ def induce(h: Subgroup, m: GLattice, name=None) -> GLattice:
     """Induced lattice over the parent of h; m lives over h.as_group()
     (or any group whose elements are exactly h's matrices).
 
-    Basis blocks follow the right cosets of h ordered by least element
-    index; block (j, j') of act(g) is act_m(t_j g t_j'^-1).
+    Basis blocks follow h.right_cosets; block (j, j') of act(g) is
+    act_m(t_j g t_j'^-1).
     """
     g = h.parent
     t, inv = g.table, g.inv
-    reps, coset_of = coset_transversal(g, h)
+    reps, coset_of = h.right_cosets
     k = len(reps)
     r = m.rank
     sub_index = {mat: i for i, mat in enumerate(m.group.elements)}
@@ -480,30 +459,24 @@ def quotient_group(g: FiniteMatrixGroup, n: Subgroup):
     g to element index of Q.  Raises ValueError when n is not normal."""
     if not n.is_normal():
         raise ValueError("subgroup is not normal")
-    x = coset_gset(g, n)
-    mats = perm_lattice(x).action
-    seen = {}
-    elems = []
-    proj = []
-    for mat in mats:
-        if mat not in seen:
-            seen[mat] = len(elems)
-            elems.append(mat)
-        proj.append(seen[mat])
-    # reorder deterministically: identity first, then lex
-    order = sorted(range(len(elems)),
-                   key=lambda i: (elems[i] != IntMat.identity(x.points),
-                                  tuple(xx for row in elems[i].data for xx in row)))
-    newpos = {old: newi for newi, old in enumerate(order)}
-    elems = [elems[old] for old in order]
-    proj = [newpos[i] for i in proj]
+    t = g.table
+    reps, coset_of = n.right_cosets
+    k = len(reps)
+    # the coset N r moves N x to N x r; the identity first, then by entries
+    units = IntMat.identity(k).data
+    mats = [IntMat._wrap(tuple(units[coset_of[t[x][r]]] for x in reps), k)
+            for r in reps]
+    order = [0] + sorted(range(1, k), key=lambda j: _sort_key(mats[j]))
+    pos = {j: i for i, j in enumerate(order)}
+    elems = [mats[j] for j in order]
+    proj = [pos[c] for c in coset_of]
     gen_idx = []
     for s in g.generator_indices:
         if proj[s] not in gen_idx and proj[s] != 0:
             gen_idx.append(proj[s])
     if not gen_idx:
         gen_idx = [0]
-    q = FiniteMatrixGroup(x.points, elems, gen_idx)
+    q = FiniteMatrixGroup(k, elems, gen_idx)
     return q, proj
 
 

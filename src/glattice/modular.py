@@ -50,7 +50,6 @@ from .lattices import (
     GLattice,
     _respects_table,
     coset_gset_sum,
-    coset_transversal,
     fixed_sublattice,
     perm_lattice,
     restrict,
@@ -290,13 +289,13 @@ def _spread(m: ModpModule, q: Subgroup, f):
     """Rows of the map m -> F_p[G/Q] with column f at the base coset:
     column k is act(g_k^-1) f for the k-th coset representative g_k.
 
-    Coset k of coset_transversal is point k of coset_gset, and coset 0
-    is Q itself because the identity is element 0.
+    Coset k of q.right_cosets is point k of coset_gset, and coset 0 is Q
+    itself because the identity is element 0.
     """
     group, p = m.group, m.p
     cols = [[sum(x * y for x, y in zip(row, f)) % p
              for row in m.action[group.inv[g]]]
-            for g in coset_transversal(group, q)[0]]
+            for g in q.right_cosets[0]]
     return [list(row) for row in zip(*cols)]
 
 

@@ -43,6 +43,7 @@ from .groups import (
     _sylows_all_cyclic,
     all_subgroups,
     closure,
+    cyclic_subgroup_classes,
     sylow,
 )
 from .lattices import (
@@ -55,7 +56,6 @@ from .lattices import (
     aug_ideal,
     coset_gset,
     coset_lattice,
-    coset_transversal,
     dual,
     hom_basis,
     j_lattice,
@@ -437,17 +437,6 @@ def _is_nilpotent(g: FiniteMatrixGroup):
     return True
 
 
-def _cyclic_subgroups(g):
-    seen = set()
-    out = []
-    for i in range(g.order):
-        members = frozenset(g.powers(i))
-        if members not in seen:
-            seen.add(members)
-            out.append((i, members))
-    return out
-
-
 def _odd_part(n):
     while n % 2 == 0:
         n //= 2
@@ -512,11 +501,14 @@ def _galois_stable_shape(g: FiniteMatrixGroup):
                 return True
             if rest % 2 == 0 or gcd(rest, k) != 1:
                 continue
-            for zi, z_members in _cyclic_subgroups(g):
-                if len(z_members) != rest:
+            # a Z centralizing D with <D, Z> = G is central, so it is its
+            # own conjugacy class and therefore a class representative
+            for z in cyclic_subgroup_classes(g):
+                if z.order != rest:
                     continue
-                if z_members & d_members != {0}:
+                if z.members & d_members != {0}:
                     continue
+                zi = max(z.members, key=orders.__getitem__)
                 if any(t[zi][x] != t[x][zi] for x in d_members):
                     continue
                 if len(g.closure_indices([si, ti, zi])) == g.order:
@@ -532,10 +524,14 @@ def _theorem2_stable_shape(g: FiniteMatrixGroup, h: Subgroup):
     if _is_dihedral_odd(g):
         return True
     # direct factorization G = Z x D with Z cyclic, D dihedral-odd,
-    # H inside D
+    # H inside D.  Z must be central, so it is its own conjugacy class and
+    # a class representative; the trivial Z would only re-test
+    # _is_dihedral_odd(g), which failed above
     t = g.table
     hgen = [i for i in h.members if i != 0][0]
-    for zi, z_members in _cyclic_subgroups(g):
+    for z in cyclic_subgroup_classes(g):
+        z_members = z.members
+        zi = max(z_members, key=g.element_orders.__getitem__)
         m = len(z_members)
         if g.order % m:
             continue
@@ -668,9 +664,8 @@ def _a5_flasque_resolution(g, x):
         i for i in range(g.order)
         if x.perms[i][0] == 0 and x.perms[i][1] == 1))
     pair_lat = coset_lattice(g, stab)
-    reps, _ = coset_transversal(g, stab)
     rows = []
-    for t in reps:
+    for t in stab.right_cosets[0]:
         i, jj = x.perms[t][0], x.perms[t][1]
         vec = [0] * ((n - 1) * n)
         # image of e_i (x) e_j in J (x) Z[X] coordinates (J index major)

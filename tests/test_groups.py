@@ -16,6 +16,7 @@ from glattice.groups import (
     _prime_factors,
     all_subgroups,
     closure,
+    coset_orbits,
     cyclic_subgroup_classes,
     double_coset_table,
     double_cosets,
@@ -317,16 +318,52 @@ def test_cyclic_subgroup_classes_match_subgroup_lattice():
 
 
 def test_double_coset_table_matches_double_cosets():
-    """The orbit-size table against |D n xHx^-1| read off the dense
-    double cosets, on every catalog group of order <= 240."""
+    """The coset orbits are the dense double cosets D x H in order, and
+    the orbit-size table is |D n xHx^-1| read off them, on every catalog
+    group of order <= 240.  D x H is read as the set of its right cosets
+    D x b, b in H, numbered by d.right_cosets, which
+    test_right_cosets_partition_the_group checks against the elements."""
     for e in catalog.builtin_catalog():
         g = e.group()
         if g.order > 240:
             continue
+        t = g.table
         reps = all_subgroups(g).representatives()
-        assert double_coset_table(g) == tuple(
-            tuple(tuple(s.order for _x, s in double_cosets(g, d, h))
-                  for h in reps) for d in reps), e.name
+        table = []
+        for d in reps:
+            coset_of = d.right_cosets[1]
+            row = []
+            for h in reps:
+                dense = double_cosets(g, d, h)
+                assert [set(o) for o in coset_orbits(d, h)] == [
+                    {coset_of[t[x][b]] for b in h.members}
+                    for x, _s in dense], e.name
+                row.append(tuple(s.order for _x, s in dense))
+            table.append(tuple(row))
+        assert double_coset_table(g) == tuple(table), e.name
+
+
+def test_right_cosets_partition_the_group():
+    """Coset i of h.right_cosets is the right coset H reps[i], reps[i] is
+    its least element, the cosets are numbered in that order, and they
+    partition the group."""
+    for e in catalog.builtin_catalog():
+        g = e.group()
+        if g.order > 240:
+            continue
+        t = g.table
+        for h in all_subgroups(g).representatives():
+            reps, coset_of = h.right_cosets
+            assert h.right_cosets is h.right_cosets
+            assert len(coset_of) == g.order
+            assert len(reps) * h.order == g.order
+            assert list(reps) == sorted(reps)
+            cosets = [set() for _ in reps]
+            for x, c in enumerate(coset_of):
+                cosets[c].add(x)
+            for x, coset in zip(reps, cosets):
+                assert coset == {t[a][x] for a in h.members}, e.name
+                assert min(coset) == x, e.name
 
 
 @pytest.mark.parametrize("name", ["dade-2-1", "dade-3-3", "dade-4-6", "dade-4-8"])

@@ -1,9 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from glattice.catalog import entry
+from glattice.catalog import builtin_catalog, entry
 from glattice.intlinalg import IntMat, hnf, solve_left
 from glattice.groups import all_subgroups, closure, double_coset_table
 from glattice.homology import (
@@ -42,6 +43,7 @@ from glattice.lattices import (
     is_flasque,
     j_lattice,
     perm_lattice,
+    quotient_group,
     std_lattice,
     tate,
     tensor,
@@ -428,3 +430,38 @@ def test_double_coset_table_matches_dense_tate(g):
     # the character and H^0 system of _extended_system, rebuilt densely
     _reps, mat, _rhs = _extended_system(std_lattice(g))
     assert [list(r) for r in mat.data] == dense_rows
+
+
+# sha256 over the coflasque resolutions (middle parts and both maps) and
+# the extended H^0 systems of every catalog lattice of order <= 400 and its
+# dual, then the double-coset tables and the quotients by the normal class
+# representatives of the catalog groups of order <= 240: pins every output
+# read off right cosets and their orbits, element numbering included
+COSET_OUTPUTS_DIGEST = \
+    "726bd702825640c97308b3e334e74ac8a08fd48ad32830ca55155f193aab4f1e"
+
+
+def test_coset_outputs_catalog_digest():
+    digest = hashlib.sha256()
+    for e in builtin_catalog():
+        m = e.lattice()
+        g = m.group
+        if g.order > 400:
+            continue
+        for lat in (m, dual(m)):
+            cert = coflasque_resolution(lat)
+            reps, mat, rhs = _extended_system(lat)
+            digest.update(repr((e.name,
+                                [h.sorted_members for h in cert.mid_parts],
+                                cert.inj.matrix.data, cert.surj.matrix.data,
+                                [h.sorted_members for h in reps],
+                                mat.data, rhs)).encode())
+        if g.order > 240:
+            continue
+        digest.update(repr(double_coset_table(g)).encode())
+        for c in all_subgroups(g).classes:
+            if c.size == 1:
+                q, proj = quotient_group(g, c.representative)
+                digest.update(repr(([x.data for x in q.elements],
+                                    q.generator_indices, proj)).encode())
+    assert digest.hexdigest() == COSET_OUTPUTS_DIGEST

@@ -43,7 +43,6 @@ from glattice.lattices import (
     is_coflasque,
     is_flasque,
     j_lattice,
-    lattice_from_gen_action,
     norm_matrix,
     perm_lattice,
     quotient_group,

@@ -134,3 +134,27 @@ def test_cyclic_classes_only_from_groups():
                         if isinstance(n, (ast.Name, ast.Attribute))}):
                 bad.append("%s:%d" % (path.name, node.lineno))
     assert bad == []
+
+
+def test_every_function_and_method_is_read():
+    """Every function and method of the package, public ones included and
+    dunders excluded, is read by name somewhere in src/, tests/ or
+    glbench/; a name that is only defined or imported is dead code."""
+    root = SRC.parents[1]
+    read = set()
+    for pattern in ("src/**/*.py", "tests/*.py", "glbench/*.py"):
+        for path in root.glob(pattern):
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__"))
+                    and node.name not in read):
+                unread.append("%s:%s" % (path.name, node.name))
+    assert unread == []
