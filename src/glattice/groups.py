@@ -14,13 +14,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass, field
 
 from .intlinalg import (
     BudgetExhausted,
     IntMat,
-    _fits_int64,
-    _int_array,
+    _int_matmul,
     _is_invertible_modp,
     intertwiner_basis,
     unimodular_in_lattice,
@@ -50,7 +50,9 @@ class FiniteMatrixGroup:
 
     Element 0 is the identity; the rest follow breadth-first discovery
     order with a lexicographic tie-break on matrix entries, so the element
-    numbering is deterministic for a fixed generator list.
+    numbering is deterministic for a fixed generator list.  The elements
+    at generator_indices generate the group; the Cayley table is built on
+    first use from the products of each of them with all elements.
     """
 
     def __init__(self, rank, elements, generator_indices, name=None):
@@ -68,6 +70,8 @@ class FiniteMatrixGroup:
         self._subgroups = None
         self._cyclic_subgroups = None
         self._double_coset_table = None
+        self._conjugations = {}  # g -> conjugation(g)
+        self._h0_coefficients = None  # kept by homology._h0_coefficients
 
     # -- basic data --------------------------------------------------------
 
@@ -90,25 +94,34 @@ class FiniteMatrixGroup:
         return self._table
 
     def _build_table(self):
+        """The table from the Cayley graph (Holt, Eick and O'Brien,
+        Handbook of Computational Group Theory, 2005, ch. 4).  Left
+        multiplication x -> s x by a generator s is a permutation of the
+        element indices, one product of s with all elements; row s y of
+        the table is that permutation applied to row y, since
+        (s y) x = s (y x).  The rows are filled along a breadth-first
+        spanning tree from the identity, whose row is the identity map:
+        |gens| matrix products and n^2 list lookups for n elements."""
         n = self.order
-        r = self.rank
-        maxabs = max(m.max_abs() for m in self.elements)
-        if n * r > 0 and _fits_int64(r, maxabs, maxabs):
-            # each row's products in one int64 buffer, sliced into
-            # per-element byte keys; the bound holds for every pair
-            arr = _int_array([m.data for m in self.elements])
-            keys = {a.tobytes(): i for i, a in enumerate(arr)}
-            size = r * r * arr.itemsize
-            table = []
-            for i in range(n):
-                buf = (arr[i] @ arr).tobytes()
-                table.append([keys[buf[k:k + size]]
-                              for k in range(0, n * size, size)])
-            return table
-        table = []
-        for i, a in enumerate(self.elements):
-            table.append([self.index[a * b] for b in self.elements])
-        return table
+        key = {m.data: i for i, m in enumerate(self.elements)}
+        stack = [m.data for m in self.elements]
+        left = []
+        for s in self.generator_indices:
+            if s:  # the identity adds no edge
+                prod = _int_matmul(self.elements[s].data, stack).tolist()
+                left.append([key[tuple(map(tuple, m))] for m in prod])
+        rows = [None] * n
+        rows[0] = list(range(n))
+        tree = [0]
+        for y in tree:
+            row = rows[y]
+            for perm in left:
+                z = perm[y]
+                if rows[z] is None:
+                    rows[z] = list(map(perm.__getitem__, row))
+                    tree.append(z)
+        assert len(tree) == n, "the generators do not generate the group"
+        return rows
 
     @property
     def inv(self):
@@ -151,7 +164,7 @@ class FiniteMatrixGroup:
     def conj_class_of(self):
         """conj_class_of[i] = smallest element index conjugate to i."""
         if self._conj_class_of is None:
-            t, inv = self.table, self.inv
+            moves = [self.conjugation(g) for g in self.generator_indices]
             cls = [-1] * self.order
             for i in range(self.order):
                 if cls[i] >= 0:
@@ -160,8 +173,8 @@ class FiniteMatrixGroup:
                 frontier = [i]
                 while frontier:
                     x = frontier.pop()
-                    for g in self.generator_indices:
-                        y = t[t[g][x]][inv[g]]
+                    for move in moves:
+                        y = move[x]
                         if y not in orbit:
                             orbit.add(y)
                             frontier.append(y)
@@ -170,11 +183,17 @@ class FiniteMatrixGroup:
             self._conj_class_of = cls
         return self._conj_class_of
 
+    def conjugation(self, g):
+        """x -> g x g^-1 as a list over element indices, the row of g read
+        through the column of g^-1; computed once per g."""
+        perm = self._conjugations.get(g)
+        if perm is None:
+            t, gi = self.table, self.inv[g]
+            perm = self._conjugations[g] = [t[y][gi] for y in t[g]]
+        return perm
+
     def conjugate_set(self, members, g):
-        t, inv = self.table, self.inv
-        gi = inv[g]
-        row = t[g]
-        return frozenset(t[row[x]][gi] for x in members)
+        return frozenset(map(self.conjugation(g).__getitem__, members))
 
     def closure_indices(self, gens):
         """Subgroup of element indices generated by the given indices."""
@@ -429,7 +448,7 @@ def all_subgroups(g: FiniteMatrixGroup) -> SubgroupClassification:
     if g._subgroups is not None:
         return g._subgroups
     n = g.order
-    t, inv = g.table, g.inv
+    t = g.table
     orders = g.element_orders
     pp_elements = [i for i in range(1, n) if _is_prime_power(orders[i])]
 
@@ -446,6 +465,7 @@ def all_subgroups(g: FiniteMatrixGroup) -> SubgroupClassification:
         hgens = class_reps[cid].generators()
         norm = _normalizer(g, h, hgens)
         norm_gens = g.generating_set(frozenset(norm)) if len(norm) > 1 else []
+        norm_moves = [g.conjugation(a) for a in norm_gens]
         # elements whose extension is tried or conjugate to one tried: a
         # union of right cosets of H, closed under N(H)-conjugation, so
         # unseen elements have unseen conjugates and cosets
@@ -461,8 +481,8 @@ def all_subgroups(g: FiniteMatrixGroup) -> SubgroupClassification:
             frontier = list(like_x)
             while frontier:
                 y = frontier.pop()
-                for a in norm_gens:
-                    z = t[t[a][y]][inv[a]]
+                for move in norm_moves:
+                    z = move[y]
                     if z not in like_x:
                         like_x.add(z)
                         frontier.append(z)
@@ -837,10 +857,13 @@ def glz_conjugate(g1: FiniteMatrixGroup, g2: FiniteMatrixGroup,
         x = unimodular_in_lattice(basis, bound=allow)
         spent += allow
         if x is not None:
-            # X * rho1(s) * X^-1 = rho2(f(s)); verify set equality
+            # X * rho1(s) * X^-1 = rho2(f(s)); verify set equality, all
+            # of g1 in two stacked products
             xinv = x.inverse_unimodular()
-            mapped = {x * m * xinv for m in g1.elements}
-            assert mapped == set(g2.elements)
+            mapped = _int_matmul(_int_matmul(
+                x.data, [m.data for m in g1.elements]), xinv.data).tolist()
+            assert ({tuple(map(tuple, m)) for m in mapped}
+                    == {m.data for m in g2.elements})
             return x
     if not found_iso:
         raise ProvablyDistinct(
@@ -857,15 +880,29 @@ def glz_conjugate(g1: FiniteMatrixGroup, g2: FiniteMatrixGroup,
 def _det_obstructed_mod_p(basis):
     """True when det(sum c_i B_i) = 0 mod p for all coefficients over
     F_p, for some prime p in 2, 3, 5 with p^d <= 2^21 -- then the Z-span
-    of `basis` contains no unimodular matrix.  Dense coefficients come
-    first: sparse combinations of intertwiners are mostly singular."""
+    of `basis` contains no unimodular matrix.
+
+    A prime p is cleared as soon as one of four exact determinants, of
+    integer combinations with coefficients 1..29 drawn from Random(0), is
+    not 0 mod p: that combination is invertible over F_p.  Each prime left
+    goes through F_p^d in descending lexicographic order from
+    (p-1, ..., p-1) and stops at the first combination invertible over
+    F_p; an obstructed prime takes all p^d."""
     if not basis:
         return True
     size = basis[0].rows
     d = len(basis)
-    for p in (2, 3, 5):
-        if p ** d > 2 ** 21:
-            continue
+    primes = [p for p in (2, 3, 5) if p ** d <= 2 ** 21]
+    rng = random.Random(0)
+    for _ in range(4):
+        if not primes:
+            return False
+        coeffs = [rng.randint(1, 29) for _ in basis]
+        det = IntMat([[sum(c * x for c, x in zip(coeffs, entries))
+                       for entries in zip(*rows)]
+                      for rows in zip(*(b.data for b in basis))]).det()
+        primes = [p for p in primes if det % p == 0]
+    for p in primes:
         flats = [[x % p for row in b.data for x in row] for b in basis]
         for coeffs in itertools.product(range(p - 1, -1, -1), repeat=d):
             flat = [sum(c * f[k] for c, f in zip(coeffs, flats)) % p

@@ -528,32 +528,64 @@ class ObstructionWitness:
                 and dot(self.rhs) % d != 0)
 
 
+class _H0Coefficients:
+    """The side of the H^0 systems that depends on the group only, kept on
+    the group: the subgroup class reps D, one unknown x_D (the multiplicity
+    of Z[G/D]) each; the matrix of the multiplicities of cyclic factors of
+    order divisible by q in H^0(H, Z[G/D]), one row per D and one column
+    per label (position of the class rep H, prime power q); and, on first
+    use, the same matrix with the character columns of `_extended_system`
+    in front."""
+
+    def __init__(self, group):
+        self.group = group
+        self.reps = all_subgroups(group).representatives()
+        table = double_coset_table(group)
+        pps = _prime_powers(group.order)
+        self.labels = tuple((hi, q) for hi in range(len(self.reps))
+                            for q in pps)
+        self.mat = IntMat([[_multiplicity(row[hi], q) for hi, q in self.labels]
+                           for row in table])
+
+    @functools.cached_property
+    def extended(self):
+        # the character of Z[G/D] counts the cosets D x an element c
+        # fixes, and D x c = D x exactly when x c x^-1 is in D
+        group = self.group
+        t, inv = group.table, group.inv
+        class_reps = sorted(set(group.conj_class_of))
+        rows = []
+        for d, h0_row in zip(self.reps, self.mat.data):
+            xs = d.right_cosets[0]
+            rows.append([sum(t[t[x][c]][inv[x]] in d.members for x in xs)
+                         for c in class_reps] + list(h0_row))
+        return class_reps, IntMat(rows)
+
+
+def _h0_coefficients(group):
+    if group._h0_coefficients is None:
+        group._h0_coefficients = _H0Coefficients(group)
+    return group._h0_coefficients
+
+
 def _h0_system(f: GLattice):
-    group = f.group
-    reps = all_subgroups(group).representatives()
-    table = double_coset_table(group)
-    pps = _prime_powers(group.order)
-    cols = []
-    rhs = []
-    labels = []
-    for hi, h in enumerate(reps):
-        fh0 = tate(f, h, 0)
-        for q in pps:
-            cols.append([_multiplicity(table[d][hi], q)
-                         for d in range(len(reps))])
-            rhs.append(_multiplicity(fh0.factors, q))
-            labels.append((hi, q))
-    mat = IntMat([[col[d] for col in cols] for d in range(len(reps))])
-    return reps, mat, tuple(rhs), tuple(labels)
+    """(reps, mat, rhs, labels): the H^0 multiplicity system of F.  Only
+    rhs, the H^0 column of F, reads the lattice; the rest is the group's
+    `_H0Coefficients`."""
+    coeffs = _h0_coefficients(f.group)
+    factors = [tate(f, h, 0).factors for h in coeffs.reps]
+    rhs = tuple(_multiplicity(factors[hi], q) for hi, q in coeffs.labels)
+    return coeffs.reps, coeffs.mat, rhs, coeffs.labels
 
 
-def stably_permutation_obstruction(f: GLattice):
+def stably_permutation_obstruction(f: GLattice, system=None):
     """Integer-infeasibility witness for F + P = Q over transitive
     permutation summands, from multiplicities of cyclic factors in H^0;
-    None when the system is integrally feasible (inconclusive)."""
+    None when the system is integrally feasible (inconclusive).  `system`
+    is `_h0_system(f)` when the caller has it already."""
     if f.rank == 0:
         return None
-    reps, mat, rhs, labels = _h0_system(f)
+    reps, mat, rhs, labels = system or _h0_system(f)
     proof = _infeasibility_certificate(mat, rhs)
     if proof is None:
         return None
@@ -611,30 +643,22 @@ class QuasiPermutationResult:
     closing: ExactSequenceCert = None  # 0 -> M -> P+pads -> target -> 0
 
 
-def _extended_system(f: GLattice):
+def _extended_system(f: GLattice, system=None):
     """Character equations (one per element conjugacy class) stacked with
-    the H^0 multiplicity system."""
-    group = f.group
-    reps, mat, rhs, _labels = _h0_system(f)
-    t, inv = group.table, group.inv
-    class_reps = sorted(set(group.conj_class_of))
+    the H^0 multiplicity system `system`, by default `_h0_system(f)`."""
+    reps, _mat, rhs, _labels = system or _h0_system(f)
+    class_reps, mat = _h0_coefficients(f.group).extended
     fchar = f.character()
-    # the character of Z[G/D] counts the cosets D x an element c fixes,
-    # and D x c = D x exactly when x c x^-1 is in D
-    rows = []
-    for d, h0_row in zip(reps, mat.data):
-        xs = d.right_cosets[0]
-        rows.append([sum(t[t[x][c]][inv[x]] in d.members for x in xs)
-                     for c in class_reps] + list(h0_row))
-    return reps, IntMat(rows), tuple(fchar[c] for c in class_reps) + rhs
+    return reps, mat, tuple(fchar[c] for c in class_reps) + rhs
 
 
-def stably_permutation_paddings(f: GLattice):
+def stably_permutation_paddings(f: GLattice, system=None):
     """Candidate (pads, targets) multisets satisfying the character and
     H^0 equations, ordered by total padded rank: at most 200, with target
-    rank at most 3 rank(f) plus the largest coset size."""
+    rank at most 3 rank(f) plus the largest coset size.  `system` is
+    `_h0_system(f)` when the caller has it already."""
     group = f.group
-    reps, mat, rhs = _extended_system(f)
+    reps, mat, rhs = _extended_system(f, system)
     sizes = [group.order // h.order for h in reps]
     x0 = solve_left(mat, IntMat([list(rhs)]))
     if x0 is None:
@@ -693,11 +717,12 @@ def quasi_permutation_check(m: GLattice, iso_budget=20000,
     if f.rank == 0:
         return QuasiPermutationResult("yes", resolution=fl, pads=(),
                                       targets=(), closing=fl.cert)
-    w = stably_permutation_obstruction(f)
+    system = _h0_system(f)
+    w = stably_permutation_obstruction(f, system)
     if w is not None:
         return QuasiPermutationResult("no", resolution=fl, witness=w)
     group = f.group
-    for pads, tgts in stably_permutation_paddings(f):
+    for pads, tgts in stably_permutation_paddings(f, system):
         try:
             hit = find_isomorphism_parts(group, (f,) + pads, tgts,
                                          budget=iso_budget)

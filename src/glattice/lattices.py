@@ -239,8 +239,9 @@ def sub_lattice_from_rows(p: GLattice, rows: IntMat, name=None):
 
 def std_lattice(g: FiniteMatrixGroup, name=None) -> GLattice:
     """The lattice the matrix group acts on tautologically.  Not checked:
-    the action is the group's own elements, and the Cayley table is built
-    from exactly their products, so it is a homomorphism by construction."""
+    the action is the group's own elements, and table[x][y] is the index of
+    x y, by induction along the tree that builds the Cayley table (row s y
+    is s times row y), so it is a homomorphism by construction."""
     return GLattice(g, g.elements, check=False,
                     name=name or (g.name and "std(%s)" % g.name))
 
@@ -592,17 +593,23 @@ def subgroup_tate_profiles(m: GLattice):
 
     Tate groups of the G-lattice m do not change under conjugation in G
     (Brown, Cohomology of Groups, GTM 87, III.8), so each is computed once
-    per G-class.  The profile of S takes one entry per S-class of
-    subgroups of S: per S-orbit of the subgroups of G contained in S.
+    per G-class.  On a cyclic class rep C, H^1(C, M) is H^-1(C, M) by
+    2-periodicity (Brown, GTM 87, VI.9), read from `_cyclic_tate_groups`.
+    The profile of S takes one entry per S-class of subgroups of S: per
+    S-orbit of the subgroups of G contained in S.
     """
     g = m.group
     classes = all_subgroups(g).classes
+    cyclic = dict(zip(cyclic_subgroup_classes(g), _cyclic_tate_groups(m)))
     entries = []
     class_of = {}
     for cid, c in enumerate(classes):
         h = c.representative
-        entries.append((h.order, tate(m, h, -1).factors,
-                        tate(m, h, 0).factors, tate(m, h, 1).factors))
+        if h in cyclic:
+            hm1 = h1 = cyclic[h].factors
+        else:
+            hm1, h1 = tate(m, h, -1).factors, tate(m, h, 1).factors
+        entries.append((h.order, hm1, tate(m, h, 0).factors, h1))
         for x in c.orbit:
             class_of[x] = cid
     profiles = []

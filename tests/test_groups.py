@@ -2,9 +2,10 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from glattice import catalog
+from glattice import catalog, groups
 from glattice.intlinalg import BudgetExhausted, IntMat
 from glattice.groups import (
     FiniteMatrixGroup,
@@ -25,6 +26,7 @@ from glattice.groups import (
     structure_probe,
     sylow,
 )
+from glattice.lattices import quotient_group
 
 
 def perm_mat(p):
@@ -98,14 +100,45 @@ def test_cayley_table_consistent():
         assert g.table[i][g.inv[i]] == 0
 
 
-def test_cayley_table_matches_intmat_products():
-    # fresh closure, so the table is built here from the generators
-    g = closure(list(catalog.entry("dade-4-6").generators))
-    assert g.order == 240
-    elts = g.elements
-    for i, row in enumerate(g.table):
-        a = elts[i]
-        assert [elts[k] for k in row] == [a * b for b in elts]
+def _product_table(g):
+    """index[elements[i] * elements[j]], row i as one numpy int64 product
+    of elements[i] with every element (exact for entries below 2^20)."""
+    assert max(m.max_abs() for m in g.elements) < 2 ** 20
+    arr = np.array([m.data for m in g.elements], dtype=np.int64)
+    index = {a.tobytes(): i for i, a in enumerate(arr)}
+    return [[index[p.tobytes()] for p in a @ arr] for a in arr]
+
+
+def test_cayley_table_matches_products():
+    # fresh closures, so each table is built here from the generators
+    checked = 0
+    for e in catalog.builtin_catalog():
+        g = closure(list(e.generators))
+        if g.order <= 400:
+            assert g.table == _product_table(g), e.name
+            checked += 1
+        if g.order <= 24:
+            # quotients: permutation matrices on the cosets of N
+            for c in all_subgroups(g).classes:
+                if c.size == 1:
+                    q, _proj = quotient_group(g, c.representative)
+                    assert q.table == _product_table(q), e.name
+    assert checked == 31
+    # the trivial subgroup as a group has no generators
+    trivial = closure(list(catalog.entry("dade-2-2").generators)) \
+        .trivial_subgroup().as_group()
+    assert trivial.generator_indices == () and trivial.table == [[0]]
+
+
+def test_cayley_table_of_a_conjugate_past_int64():
+    # X g X^-1 with X = [[1, 2^40], [0, 1]] has entries near 2^80, so the
+    # products by the generators take the Python-integer path
+    x = IntMat([[1, 2 ** 40], [0, 1]])
+    xinv = x.inverse_unimodular()
+    g = closure([x * s * xinv for s in catalog.entry("dade-2-2").generators])
+    assert g.order == 12 and max(m.max_abs() for m in g.elements) > 2 ** 63
+    assert g.table == [[g.index[a * b] for b in g.elements]
+                       for a in g.elements]
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +270,44 @@ def test_glz_reflection_classes_distinct_mod_2():
     g2 = closure([IntMat([[0, 1], [1, 0]])])
     with pytest.raises(ProvablyDistinct, match="determinant obstruction"):
         glz_conjugate(g1, g2)
+
+
+def _dense_det_obstructed(basis):
+    """det(sum c_i B_i) = 0 mod p for every c in F_p^d, for some p in
+    2, 3, 5 with p^d <= 2^21, by running through F_p^d for each prime."""
+    size, d = basis[0].rows, len(basis)
+    for p in (2, 3, 5):
+        if p ** d > 2 ** 21:
+            continue
+        if not any(IntMat([[sum(c * b.data[i][j] for c, b in zip(cs, basis))
+                            % p for j in range(size)] for i in range(size)])
+                   .det() % p
+                   for cs in itertools.product(range(p), repeat=d)):
+            return True
+    return False
+
+
+def test_det_screen_matches_dense_enumeration(monkeypatch):
+    seen = []
+    screen = groups._det_obstructed_mod_p
+
+    def record(basis):
+        out = screen(basis)
+        seen.append((basis, out))
+        return out
+
+    monkeypatch.setattr(groups, "_det_obstructed_mod_p", record)
+    catalog.census(catalog.DIM3_ROOTS)
+    catalog.census(("dade-4-6",))
+    assert len(seen) == 36
+    assert {out for _basis, out in seen} == {True, False}
+    # by hand: obstructed mod p alone, and singular over Q
+    for basis in ([IntMat.diag([2, 1])], [IntMat.diag([3, 1])],
+                  [IntMat.diag([5, 1]), IntMat.diag([0, 5])],
+                  [IntMat.diag([1, 0]), IntMat([[0, 1], [0, 0]])]):
+        record(basis)
+    for basis, out in seen:
+        assert out == _dense_det_obstructed(basis)
 
 
 def test_iter_isomorphisms_counts():
@@ -383,6 +454,8 @@ def test_conj_class_of_matches_conjugation_by_all_elements():
     t, inv = g.table, g.inv
     assert g.conj_class_of == [min(t[t[x][i]][inv[x]] for x in range(g.order))
                                for i in range(g.order)]
+    for x in range(g.order):
+        assert g.conjugation(x) == [t[t[x][i]][inv[x]] for i in range(g.order)]
 
 
 def test_charpolys_per_class_match_every_element():

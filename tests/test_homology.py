@@ -23,8 +23,10 @@ from glattice.homology import (
     stably_permutation_obstruction,
     verify_exact,
 )
+from glattice import homology
 from glattice.homology import (
     _extended_system,
+    _h0_system,
     _infeasibility_certificate,
     _multiplicity,
     _prime_powers,
@@ -465,3 +467,31 @@ def test_coset_outputs_catalog_digest():
                 digest.update(repr(([x.data for x in q.elements],
                                     q.generator_indices, proj)).encode())
     assert digest.hexdigest() == COSET_OUTPUTS_DIGEST
+
+
+def test_h0_coefficients_built_once_per_group():
+    g = closure(list(entry("dade-2-2").generators))
+    a, b = std_lattice(g), dual(coset_lattice(g, g.trivial_subgroup()))
+    assert _h0_system(a)[1] is _h0_system(b)[1]
+    assert _extended_system(a)[1] is _extended_system(b)[1]
+    fresh = closure(list(entry("dade-2-2").generators))
+    assert _h0_system(std_lattice(fresh))[1] is not _h0_system(a)[1]
+    assert _h0_system(std_lattice(fresh))[1] == _h0_system(a)[1]
+
+
+def test_quasi_permutation_check_reads_h0_of_f_once(monkeypatch):
+    m = entry("z-4-13-6-4").lattice()
+    fl = flasque_resolution(m)
+    f = fl.cert.right
+    real = homology.tate
+    degrees = []
+
+    def counted(lat, h, k):
+        if lat is f:
+            degrees.append(k)
+        return real(lat, h, k)
+
+    monkeypatch.setattr(homology, "tate", counted)
+    # no obstruction, so the padding search reads the system as well
+    assert quasi_permutation_check(m, resolution=fl).verdict == "yes"
+    assert degrees == [0] * len(all_subgroups(m.group).representatives())

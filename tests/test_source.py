@@ -90,6 +90,17 @@ def test_int64_only_in_intlinalg():
     assert bad == []
 
 
+def test_groups_imports_no_numpy():
+    """The group layer works on index tables and Python integers; its few
+    matrix products go through intlinalg's guarded product."""
+    tree = ast.parse((SRC / "groups.py").read_text("utf-8"))
+    imported = [alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module]
+    assert "numpy" not in imported
+
+
 def test_every_imported_name_is_read():
     """A module reads every name it imports; the package __init__, whose
     imports are re-exports, is exempt."""
