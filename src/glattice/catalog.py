@@ -509,8 +509,8 @@ class CensusReport:
         return out
 
 
-def _canon_key(g: FiniteMatrixGroup):
-    return tuple(sorted(m.data for m in g.elements))
+def _canon_key(matrices):
+    return tuple(sorted(m.data for m in matrices))
 
 
 def census(roots, budget=60000) -> CensusReport:
@@ -549,8 +549,7 @@ def census(roots, budget=60000) -> CensusReport:
             by_elt = sorted((orders[i], charpolys[i]) for i in h.members)
             fp = (g.rank, h.order, tuple(by_elt), profiles[idx])
             keys = [sum(bits[i] for i in m) for m in cls.orbit]
-            sub = h.as_group()
-            reps.append((fp, _canon_key(sub), e.name, idx, sub, keys))
+            reps.append((fp, _canon_key(h.matrices()), e.name, idx, h, keys))
     # canonical processing order makes the census root-order independent
     reps.sort(key=lambda t: t[:4])
 
@@ -558,11 +557,12 @@ def census(roots, budget=60000) -> CensusReport:
     owner = {}  # orbit key -> the record its class joined or founded
     undecided = []
     classes = []  # parallel to records below
-    for fp, _key, root, idx, sub, keys in reps:
+    for fp, _key, root, idx, h, keys in reps:
         rec = next((owner[k] for k in keys if k in owner), None)
         if rec is not None:
             assert rec.fingerprint == fp
         else:
+            sub = h.as_group()
             for rec in buckets.setdefault(fp, []):
                 try:
                     glz_conjugate(rec.representative, sub, budget=budget)
@@ -580,7 +580,7 @@ def census(roots, budget=60000) -> CensusReport:
         for k in keys:
             owner.setdefault(k, rec)
     classes.sort(key=lambda r: (r.fingerprint,
-                                _canon_key(r.representative)))
+                                _canon_key(r.representative.elements)))
     for i, rec in enumerate(classes):
         rec.label = "Z%d-%03d" % (rec.representative.rank, i + 1)
     report = CensusReport([e.name for e in roots], classes, undecided)

@@ -142,7 +142,9 @@ def _leaf(arg, what):
 
 def eval_lattice_expr(tree, g):
     """Evaluate a parse_expr tree against the ambient group g, checking
-    each head and its arity on the way; raises ParseError."""
+    each head, its arity and that each operand lives over the group the
+    head needs (g, the subgroup for ind, the quotient for inflate) on the
+    way; raises ParseError."""
     head, args = tree
     if head not in EXPR_HEADS:
         raise ParseError("unknown head %r" % head)
@@ -151,6 +153,16 @@ def eval_lattice_expr(tree, g):
 
     def sub(a):
         return resolve_subgroup(g, _leaf(a, "a subgroup"))
+
+    def over(a, group):
+        lat = eval_lattice_expr(a, group)
+        # induce looks the subgroup's matrices up, so a copy of it will do
+        if not (lat.group is group or head == "ind"
+                and set(lat.group.elements) == set(group.elements)):
+            raise ParseError("operand %r of %s is not a lattice over the "
+                             "order-%d group it needs"
+                             % (a[0], head, group.order))
+        return lat
 
     if head == "std":
         return std_lattice(g)
@@ -167,22 +179,19 @@ def eval_lattice_expr(tree, g):
     if head == "dual":
         return dual(eval_lattice_expr(args[0], g))
     if head == "sum":
-        return direct_sum(eval_lattice_expr(args[0], g),
-                          eval_lattice_expr(args[1], g))
+        return direct_sum(over(args[0], g), over(args[1], g))
     if head == "tensor":
-        return tensor(eval_lattice_expr(args[0], g),
-                      eval_lattice_expr(args[1], g))
+        return tensor(over(args[0], g), over(args[1], g))
     if head == "ind":
         h = sub(args[0])
-        inner = eval_lattice_expr(args[1], h.as_group())
-        return induce(h, inner)
+        return induce(h, over(args[1], h.as_group()))
     if head == "res":
         h = sub(args[0])
-        return restrict(eval_lattice_expr(args[1], g), h)
+        return restrict(over(args[1], g), h)
     if head == "inflate":
         n = sub(args[0])
         q, proj = quotient_group(g, n)
-        return inflate(g, proj, eval_lattice_expr(args[1], q))
+        return inflate(g, proj, over(args[1], q))
     # named
     size = _leaf(args[1], "an integer size")
     if not size.lstrip("-").isdigit():

@@ -292,7 +292,7 @@ class Subgroup:
     def matrices(self):
         return [self.parent.elements[i] for i in self.sorted_members]
 
-    def as_group(self, name=None):
+    def as_group(self):
         """The subgroup as a standalone FiniteMatrixGroup (same matrices).
 
         The parent's element orders and characteristic polynomials, when
@@ -304,7 +304,7 @@ class Subgroup:
                                                     _sort_key(p.elements[i])))
         pos = {i: k for k, i in enumerate(order)}
         sub = FiniteMatrixGroup(p.rank, [p.elements[i] for i in order],
-                                [pos[i] for i in self.generators()], name=name)
+                                [pos[i] for i in self.generators()])
         if p._orders is not None:
             sub._orders = [p._orders[i] for i in order]
         if p._charpolys is not None:

@@ -44,10 +44,8 @@ from .lattices import (
     dual,
     find_isomorphism,
     fixed_sublattice,
-    gset_isomorphism,
     hom_basis,
     perm_lattice,
-    recognize_permutation,
     sub_lattice_from_rows,
     tate,
     tensor,
@@ -127,7 +125,7 @@ def sequence_from_surjection(p: GLattice, m: GLattice, matrix: IntMat,
 # permutation parts and structured Hom bases
 # ---------------------------------------------------------------------------
 
-def parts_lattice(group: FiniteMatrixGroup, parts, name=None) -> GLattice:
+def parts_lattice(group: FiniteMatrixGroup, parts) -> GLattice:
     """Direct sum of parts; a part is a Subgroup (meaning Z[G/H]) or a
     GLattice.  A run of Subgroup parts is one permutation lattice on the
     disjoint union of their coset spaces."""
@@ -136,11 +134,8 @@ def parts_lattice(group: FiniteMatrixGroup, parts, name=None) -> GLattice:
             parts, key=lambda p: isinstance(p, Subgroup)):
         lats.extend([perm_lattice(coset_gset_sum(group, run))] if cosets
                     else run)
-    out = functools.reduce(direct_sum, lats) if lats else \
+    return functools.reduce(direct_sum, lats) if lats else \
         perm_lattice(coset_gset_sum(group, ()))
-    if name is not None and out is not parts[0]:
-        out.name = name
-    return out
 
 
 def _coset_images(m: GLattice, k: Subgroup, u):
@@ -195,7 +190,8 @@ def hom_basis_parts(group, parts1, parts2):
 def find_isomorphism_parts(group, parts1, parts2, budget=20000):
     """Unimodular equivariant map between two direct sums given by parts.
     Returns (m1, m2, EquivariantMap) or None; raises ProvablyDistinct on a
-    character mismatch."""
+    character mismatch.  One search, in the Hom lattice of
+    `hom_basis_parts`: every isomorphism of the two sums lies in it."""
     m1 = parts_lattice(group, parts1)
     m2 = parts_lattice(group, parts2)
     if m1.rank != m2.rank:
@@ -207,18 +203,6 @@ def find_isomorphism_parts(group, parts1, parts2, budget=20000):
     if not basis:
         raise ProvablyDistinct("Hom = 0")
     x = unimodular_in_lattice(basis, bound=budget)
-    if x is None and all(isinstance(p, Subgroup) for p in parts2):
-        # second chance when the Hom-lattice search comes up empty and the
-        # target is a permutation lattice: look for a permuted basis of the
-        # source directly and match its orbit structure to the cosets
-        w = recognize_permutation(m1, budget=budget)
-        if w is not None:
-            phi = gset_isomorphism(w.gset, coset_gset_sum(group, parts2))
-            if phi is not None:
-                q = IntMat([[1 if phi[i] == j else 0 for j in range(m2.rank)]
-                            for i in range(m1.rank)])
-                binv = solve_left(w.map.matrix, IntMat.identity(m1.rank))
-                x = binv * q
     if x is None:
         return None
     f = EquivariantMap(m1, m2, x)
@@ -450,7 +434,7 @@ def pullback_split(bottom: ExactSequenceCert, rightcol: ExactSequenceCert,
     k = kernel_basis(stacked)
     assert k.rows == a.rank + b2.rank
     big = direct_sum(b, b2)
-    e, _inc = sub_lattice_from_rows(big, k, name="pullback")
+    e, _inc = sub_lattice_from_rows(big, k)
     # induced rows
     j1 = solve_left(k, IntMat.zeros(a2.rank, b.rank).hstack(rightcol.inj.matrix))
     assert j1 is not None
@@ -656,7 +640,10 @@ def stably_permutation_paddings(f: GLattice, system=None):
     """Candidate (pads, targets) multisets satisfying the character and
     H^0 equations, ordered by total padded rank: at most 200, with target
     rank at most 3 rank(f) plus the largest coset size.  `system` is
-    `_h0_system(f)` when the caller has it already."""
+    `_h0_system(f)` when the caller has it already.  Candidates are
+    x = x0 + t K: the kernel rows K are linearly independent, so each t
+    gives a new x, and the identity-class row sum_D x_D [G:D] = rank F
+    makes every target rank equal rank F plus the pad rank."""
     group = f.group
     reps, mat, rhs = _extended_system(f, system)
     sizes = [group.order // h.order for h in reps]
@@ -667,7 +654,6 @@ def stably_permutation_paddings(f: GLattice, system=None):
     kern = kernel_basis(mat)
     max_rank = 3 * f.rank + max(sizes)
     cands = []
-    seen = set()
     kdim = kern.rows
     for radius in range(0, 4):
         boxes = itertools.product(range(-radius, radius + 1), repeat=kdim) \
@@ -679,19 +665,14 @@ def stably_permutation_paddings(f: GLattice, system=None):
             for ti, krow in zip(t, kern.data):
                 if ti:
                     x = [xi + ti * ki for xi, ki in zip(x, krow)]
-            key = tuple(x)
-            if key in seen:
-                continue
-            seen.add(key)
-            pad_rank = sum(-xi * s for xi, s in zip(x, sizes) if xi < 0)
             tgt_rank = sum(xi * s for xi, s in zip(x, sizes) if xi > 0)
-            if tgt_rank != f.rank + pad_rank or tgt_rank > max_rank:
+            if tgt_rank > max_rank:
                 continue
             pads = tuple(h for xi, h in zip(x, reps) for _ in range(-xi)
                          if xi < 0)
             tgts = tuple(h for xi, h in zip(x, reps) for _ in range(xi)
                          if xi > 0)
-            cands.append((f.rank + pad_rank, pads, tgts))
+            cands.append((tgt_rank, pads, tgts))
             if len(cands) >= 200:
                 break
         if len(cands) >= 200:

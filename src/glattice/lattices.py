@@ -68,15 +68,13 @@ class GLattice:
     I_X (x) I_Y; None otherwise.
     """
 
-    __slots__ = ("group", "rank", "_action", "name", "construction",
-                 "_cyclic_tate")
+    __slots__ = ("group", "rank", "_action", "construction", "_cyclic_tate")
 
-    def __init__(self, group: FiniteMatrixGroup, action, name=None, check=True):
+    def __init__(self, group: FiniteMatrixGroup, action, check=True):
         self.group = group
         self._action = tuple(action)
         assert len(self._action) == group.order
         self.rank = self._action[0].rows if self._action else 0
-        self.name = name
         self.construction = None
         self._cyclic_tate = []  # filled by _cyclic_tate_groups
         if check and group.order > 1:
@@ -117,9 +115,8 @@ class GLattice:
         return hash((id(self.group), self._action))
 
     def __repr__(self):
-        return "GLattice(rank=%d over order-%d group%s)" % (
-            self.rank, self.group.order,
-            ", name=%r" % self.name if self.name else "")
+        return "GLattice(rank=%d over order-%d group)" % (
+            self.rank, self.group.order)
 
 
 def _respects_table(group: FiniteMatrixGroup, acts, p=None) -> bool:
@@ -211,7 +208,7 @@ class EquivariantMap:
         return True
 
 
-def sub_lattice_from_rows(p: GLattice, rows: IntMat, name=None):
+def sub_lattice_from_rows(p: GLattice, rows: IntMat):
     """(sub lattice, inclusion map) for an action-stable saturated row space.
 
     Only the generator images are solved for (one solve, stacked); the
@@ -220,7 +217,7 @@ def sub_lattice_from_rows(p: GLattice, rows: IntMat, name=None):
     result is not checked again."""
     if rows.rows == 0:
         z = GLattice(p.group, [IntMat.zeros(0, 0)] * p.group.order,
-                     name=name, check=False)
+                     check=False)
         return z, EquivariantMap(z, p, IntMat.zeros(0, p.rank))
     gens = p.group.generator_indices
     k = rows.rows
@@ -229,7 +226,7 @@ def sub_lattice_from_rows(p: GLattice, rows: IntMat, name=None):
     assert x is not None, "row space is not action-stable/saturated"
     gen_images = [IntMat(x.data[i * k:(i + 1) * k]) for i in range(len(gens))]
     sub = GLattice(p.group, _action_from_generators(p.group, gen_images),
-                   name=name, check=False)
+                   check=False)
     return sub, EquivariantMap(sub, p, rows)
 
 
@@ -237,18 +234,17 @@ def sub_lattice_from_rows(p: GLattice, rows: IntMat, name=None):
 # constructors
 # ---------------------------------------------------------------------------
 
-def std_lattice(g: FiniteMatrixGroup, name=None) -> GLattice:
+def std_lattice(g: FiniteMatrixGroup) -> GLattice:
     """The lattice the matrix group acts on tautologically.  Not checked:
     the action is the group's own elements, and table[x][y] is the index of
     x y, by induction along the tree that builds the Cayley table (row s y
     is s times row y), so it is a homomorphism by construction."""
-    return GLattice(g, g.elements, check=False,
-                    name=name or (g.name and "std(%s)" % g.name))
+    return GLattice(g, g.elements, check=False)
 
 
 def trivial_lattice(g: FiniteMatrixGroup, rank=1) -> GLattice:
     ident = IntMat.identity(rank)
-    return GLattice(g, [ident] * g.order, name="Z^%d" % rank if rank != 1 else "Z")
+    return GLattice(g, [ident] * g.order)
 
 
 def coset_gset(g: FiniteMatrixGroup, h: Subgroup) -> GSet:
@@ -275,7 +271,7 @@ def coset_gset_sum(g: FiniteMatrixGroup, subgroups) -> GSet:
     return GSet(g, sum(gs.points for gs in gsets), tuple(perms))
 
 
-def perm_lattice(x: GSet, name=None) -> GLattice:
+def perm_lattice(x: GSet) -> GLattice:
     """Z[X] with the permutation matrices of the G-set x.  GSet has
     checked the action, so the matrices are not checked again."""
     n = x.points
@@ -283,47 +279,12 @@ def perm_lattice(x: GSet, name=None) -> GLattice:
     for p in x.perms:
         action.append(IntMat([[1 if p[i] == j else 0 for j in range(n)]
                               for i in range(n)]))
-    return GLattice(x.group, action, name=name, check=False)
+    return GLattice(x.group, action, check=False)
 
 
-def coset_lattice(g: FiniteMatrixGroup, h: Subgroup, name=None) -> GLattice:
+def coset_lattice(g: FiniteMatrixGroup, h: Subgroup) -> GLattice:
     """Z[G/H], the transitive permutation lattice on cosets of h."""
-    return perm_lattice(coset_gset(g, h), name=name or "Z[G/H(%d)]" % h.order)
-
-
-def gset_isomorphism(a: GSet, b: GSet):
-    """Equivariant point bijection a -> b, as a tuple phi (phi[i] = image
-    of point i), or None if the G-sets are not isomorphic.
-
-    Orbits are matched by their point stabilizers: two transitive G-sets
-    are isomorphic iff the stabilizers are conjugate, and a base point of
-    one whose stabilizer literally equals that of a base point of the
-    other determines the bijection.
-    """
-    if a.points != b.points:
-        return None
-    n = a.group.order
-    phi = [None] * a.points
-    used = set()
-    borbs = b.orbits()
-    for orb in a.orbits():
-        s = a.stabilizer(orb[0]).members
-        match = None
-        for bo in borbs:
-            if bo[0] in used or len(bo) != len(orb):
-                continue
-            for q in bo:
-                if b.stabilizer(q).members == s:
-                    match = q
-                    break
-            if match is not None:
-                used.update(bo)
-                break
-        if match is None:
-            return None
-        for g in range(n):
-            phi[a.perms[g][orb[0]]] = b.perms[g][match]
-    return tuple(phi)
+    return perm_lattice(coset_gset(g, h))
 
 
 def gset_from_permutation_matrices(g: FiniteMatrixGroup) -> GSet:
@@ -340,15 +301,15 @@ def gset_from_permutation_matrices(g: FiniteMatrixGroup) -> GSet:
     return GSet(g, n, tuple(perms))
 
 
-def aug_ideal(x: GSet, name=None) -> GLattice:
+def aug_ideal(x: GSet) -> GLattice:
     """I_X: kernel of the sum map Z[X] -> Z, basis {x_i - x_{i+1}}."""
     n = x.points
     if n <= 1:
         return GLattice(x.group, [IntMat.zeros(0, 0)] * x.group.order,
-                        name=name, check=False)
+                        check=False)
     emb = IntMat([[1 if j == i else (-1 if j == i + 1 else 0) for j in range(n)]
                   for i in range(n - 1)])
-    return sub_lattice_from_rows(perm_lattice(x), emb, name=name)[0]
+    return sub_lattice_from_rows(perm_lattice(x), emb)[0]
 
 
 def rho_matrix(perm):
@@ -369,7 +330,7 @@ def rho_matrix(perm):
     return IntMat(rows)
 
 
-def j_lattice(x: GSet, name=None) -> GLattice:
+def j_lattice(x: GSet) -> GLattice:
     """J_X = Z[X]/Z(sum of X), basis = images of the first n-1 points.
 
     GSet has checked the permutations and J_X is a quotient of Z[X], so
@@ -377,12 +338,11 @@ def j_lattice(x: GSet, name=None) -> GLattice:
     """
     if x.points <= 1:
         return GLattice(x.group, [IntMat.zeros(0, 0)] * x.group.order,
-                        name=name, check=False)
-    return GLattice(x.group, [rho_matrix(p) for p in x.perms], name=name,
-                    check=False)
+                        check=False)
+    return GLattice(x.group, [rho_matrix(p) for p in x.perms], check=False)
 
 
-def sign_lattice(g: FiniteMatrixGroup, n: Subgroup, name=None) -> GLattice:
+def sign_lattice(g: FiniteMatrixGroup, n: Subgroup) -> GLattice:
     """Rank-1 lattice with kernel exactly the index-2 normal subgroup n."""
     if 2 * n.order != g.order:
         raise NotIndexTwoNormal("subgroup has index %d" % (g.order // n.order))
@@ -390,43 +350,41 @@ def sign_lattice(g: FiniteMatrixGroup, n: Subgroup, name=None) -> GLattice:
         raise NotIndexTwoNormal("subgroup is not normal")
     action = [IntMat([[1]]) if i in n.members else IntMat([[-1]])
               for i in range(g.order)]
-    lat = GLattice(g, action, name=name)
-    return lat
+    return GLattice(g, action)
 
 
-def dual(m: GLattice, name=None) -> GLattice:
+def dual(m: GLattice) -> GLattice:
     """Dual lattice; action matrices are inverse-transposes (an action
     because m's is, so not checked again)."""
     inv = m.group.inv
     action = [m.act(inv[i]).transpose() for i in range(m.group.order)]
-    return GLattice(m.group, action, check=False,
-                    name=name or (m.name and "dual(%s)" % m.name))
+    return GLattice(m.group, action, check=False)
 
 
-def direct_sum(m: GLattice, n: GLattice, name=None) -> GLattice:
+def direct_sum(m: GLattice, n: GLattice) -> GLattice:
     """Block-diagonal action (an action because m's and n's are)."""
     assert m.group is n.group
     action = [a.block_diag(b) for a, b in zip(m.action, n.action)]
-    return GLattice(m.group, action, name=name, check=False)
+    return GLattice(m.group, action, check=False)
 
 
-def tensor(m: GLattice, n: GLattice, name=None) -> GLattice:
+def tensor(m: GLattice, n: GLattice) -> GLattice:
     """Kronecker-product action, left factor major in the basis order."""
     assert m.group is n.group
     action = [a.kron(b) for a, b in zip(m.action, n.action)]
-    return GLattice(m.group, action, name=name, check=False)
+    return GLattice(m.group, action, check=False)
 
 
-def restrict(m: GLattice, h: Subgroup, hgroup: FiniteMatrixGroup = None,
-             name=None) -> GLattice:
+def restrict(m: GLattice, h: Subgroup,
+             hgroup: FiniteMatrixGroup = None) -> GLattice:
     """Restriction of m to the subgroup h (returned over h.as_group())."""
     assert h.parent is m.group
     sub = hgroup if hgroup is not None else h.as_group()
     action = [m.act(m.group.index[mat]) for mat in sub.elements]
-    return GLattice(sub, action, name=name)
+    return GLattice(sub, action)
 
 
-def induce(h: Subgroup, m: GLattice, name=None) -> GLattice:
+def induce(h: Subgroup, m: GLattice) -> GLattice:
     """Induced lattice over the parent of h; m lives over h.as_group()
     (or any group whose elements are exactly h's matrices).
 
@@ -451,7 +409,7 @@ def induce(h: Subgroup, m: GLattice, name=None) -> GLattice:
                 for v in range(r):
                     rows[j * r + u][j2 * r + v] = a.data[u][v]
         action.append(IntMat(rows) if rows else IntMat.zeros(0, 0))
-    return GLattice(g, action, name=name, check=False)
+    return GLattice(g, action, check=False)
 
 
 def quotient_group(g: FiniteMatrixGroup, n: Subgroup):
@@ -481,10 +439,10 @@ def quotient_group(g: FiniteMatrixGroup, n: Subgroup):
     return q, proj
 
 
-def inflate(g: FiniteMatrixGroup, proj, m: GLattice, name=None) -> GLattice:
+def inflate(g: FiniteMatrixGroup, proj, m: GLattice) -> GLattice:
     """Inflation along a projection g -> m.group given as an index map."""
     action = [m.act(proj[i]) for i in range(g.order)]
-    return GLattice(g, action, name=name)
+    return GLattice(g, action)
 
 
 # ---------------------------------------------------------------------------

@@ -119,10 +119,10 @@ class RationalityVerdict:
 # constructions with provenance
 # ---------------------------------------------------------------------------
 
-def aug_tensor(x: GSet, y: GSet, name=None) -> GLattice:
+def aug_tensor(x: GSet, y: GSet) -> GLattice:
     """I_X (x) I_Y with its construction recorded on the lattice (the
     coprime-tensor detector only fires on recorded products)."""
-    m = tensor(aug_ideal(x), aug_ideal(y), name=name)
+    m = tensor(aug_ideal(x), aug_ideal(y))
     m.construction = ("aug_tensor", x, y)
     return m
 

@@ -197,6 +197,9 @@ GOOD_EXPRS = [
     ("perm(gens:[a*b,c^-1])", 2),
     ("perm( gens:[ a*b , c^-1 ] )", 2),
     ("perm(trivial)", 8),
+    # operands over the group their head needs
+    ("ind(gens:[a],res(full,std))", 8),  # a copy of <a> will do for ind
+    ("dual(named(rho,2))", 2),
 ]
 
 
@@ -239,6 +242,14 @@ def test_catalog_name_subgroup(capsys):
     "perm(nope)",        # unknown subgroup name
     "named(rho,x)",      # builder size is not an integer
     "perm(std)",         # lattice where a subgroup is expected
+    # operands over another group than their head needs
+    "sum(std,res(gens:[a],std))",       # res lives over <a>
+    "tensor(std,named(rho,2))",         # named lives over its own group
+    "sum(named(rho,2),named(rho,2))",   # two groups, neither the ambient
+    "inflate(trivial,named(rho,3))",    # not over the quotient G/1
+    "inflate(trivial,named(rho,2))",
+    "inflate(full,named(rho,2))",       # not over the quotient G/G
+    "ind(gens:[a],named(rho,2))",       # not over <a>
 ])
 def test_bad_expression_is_an_input_error(capsys, expr):
     code, out = run_json(capsys, "cohomology", "--group", "dade-2-1",

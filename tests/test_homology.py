@@ -6,7 +6,7 @@ import pytest
 
 from glattice.catalog import builtin_catalog, entry
 from glattice.intlinalg import IntMat, hnf, solve_left
-from glattice.groups import all_subgroups, closure, double_coset_table
+from glattice.groups import Subgroup, all_subgroups, closure, double_coset_table
 from glattice.homology import (
     DegreesNotCoprime,
     SectionInvalid,
@@ -21,6 +21,7 @@ from glattice.homology import (
     quasi_permutation_check,
     sequence_from_surjection,
     stably_permutation_obstruction,
+    stably_permutation_paddings,
     verify_exact,
 )
 from glattice import homology
@@ -52,6 +53,11 @@ from glattice.lattices import (
     trivial_lattice,
 )
 from glattice.modular import is_invertible
+from glattice.rationality import (
+    _a5_flasque_resolution,
+    _block_lattice,
+    _coordinate_blocks,
+)
 
 
 def perm_mat(p):
@@ -331,6 +337,48 @@ def test_quasi_permutation_no_for_biquadratic_norm_one():
     assert res.verdict == "no"
     w = res.witness
     assert w is not None and w.verify()
+
+
+def _a5_flasque():
+    a5 = closure([perm_mat([1, 2, 3, 4, 0]), perm_mat([1, 2, 0, 3, 4])])
+    stab = Subgroup(a5, frozenset(i for i in range(a5.order)
+                                  if a5.elements[i].data[0][0] == 1))
+    return _a5_flasque_resolution(a5, coset_gset(a5, stab)).cert.right
+
+
+def _z4_13_6_4_block_flasque():
+    m = entry("z-4-13-6-4").lattice()
+    block, = [b for b in _coordinate_blocks(m) if len(b) == 3]
+    return flasque_resolution(_block_lattice(m, block)).cert.right
+
+
+# padding candidates (pads, targets) of flasque terms, in order, each
+# subgroup as its position in all_subgroups(group).representatives()
+PADDING_CANDIDATES = {
+    "I3": (lambda: flasque_resolution(I3).cert.right,
+           [((), (3,))]),
+    "J3": (lambda: flasque_resolution(J3).cert.right,
+           [((3,), (1, 1, 2))]),
+    "dade-2-2": (lambda: flasque_resolution(entry("dade-2-2").lattice())
+                 .cert.right,
+                 [((9,), (5, 7)), ((0, 5, 6, 8), (1, 2, 3, 4, 9))]),
+    "z-4-13-6-4 rank-3 block": (_z4_13_6_4_block_flasque, [((), (9, 23))]),
+    "A5 natural": (_a5_flasque,
+                   [((6,), (4, 5)), ((0, 6, 6, 7), (1, 1, 2, 4, 8)),
+                    ((1, 1, 2, 8), (0, 4, 5, 5, 7))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PADDING_CANDIDATES))
+def test_padding_candidates_pinned(name):
+    build, want = PADDING_CANDIDATES[name]
+    f = build()
+    pos = {h.sorted_members: i
+           for i, h in enumerate(all_subgroups(f.group).representatives())}
+    got = [(tuple(pos[h.sorted_members] for h in pads),
+            tuple(pos[h.sorted_members] for h in tgts))
+           for pads, tgts in stably_permutation_paddings(f)]
+    assert got == want
 
 
 def test_obstruction_witness_rejects_tampering():

@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from glattice.catalog import entry
-from glattice.homology import stably_permutation_obstruction
+from glattice.homology import stably_permutation_obstruction, verify_exact
 from glattice.intlinalg import IntMat
 from glattice.groups import Subgroup, all_subgroups, closure
 from glattice.lattices import (
@@ -351,6 +351,26 @@ def test_norm_one_alternating_four():
     assert g.order == 12
     v = norm_one_classify(NormOneSpec(g, point_stabilizer(g)))
     assert v.level == NOT_RETRACT_RATIONAL
+
+
+def test_norm_one_alternating_five_pads_the_flasque_term():
+    # the only norm_one_classify branch that runs the padding check: the
+    # rank-16 flasque term J (x) J plus one Z[G/H] with |H| = 10 is the
+    # permutation lattice on the cosets of subgroups of orders 5 and 6
+    g = perm_closure_group([[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]])
+    assert g.order == 60
+    v = norm_one_classify(NormOneSpec(g, point_stabilizer(g)))
+    assert v.level == STABLY_RATIONAL
+    assert [s.kind for s in v.certificate] == [
+        "norm_one_shape", "alternating_natural", "quasi_permutation"]
+    res = v.certificate[-1].data["result"]
+    assert res.verdict == "yes"
+    assert [h.order for h in res.pads] == [10]
+    assert [h.order for h in res.targets] == [5, 6]
+    assert res.resolution.cert.right.rank == 16
+    assert res.iso.source.rank == res.iso.target.rank == 22
+    assert res.iso.check() and res.iso.matrix.is_unimodular()
+    assert verify_exact(res.closing)
 
 
 def test_norm_one_dihedral_cases():

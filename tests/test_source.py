@@ -169,3 +169,31 @@ def test_every_function_and_method_is_read():
                     and node.name not in read):
                 unread.append("%s:%s" % (path.name, node.name))
     assert unread == []
+
+
+def test_benchmark_reads_only_traced_names():
+    """Every `layer.function` name that glbench/run.py reads in
+    `per_layer` is a public function of that layer module or a span of
+    `glbench.tracer.METHODS`; any other name makes `Tracer.function_calls`
+    raise KeyError under `--trace 1`."""
+    root = SRC.parents[1]
+    tracer = ast.parse((root / "glbench" / "tracer.py").read_text("utf-8"))
+    consts = {node.targets[0].id: ast.literal_eval(node.value)
+              for node in tracer.body if isinstance(node, ast.Assign)
+              and isinstance(node.targets[0], ast.Name)
+              and node.targets[0].id in ("LAYERS", "METHODS")}
+    spans = {m[-1] for m in consts["METHODS"]}
+    public = {layer: {top.name for top in ast.parse(
+        (SRC / (layer + ".py")).read_text("utf-8")).body
+        if isinstance(top, ast.FunctionDef)
+        and not top.name.startswith("_")} for layer in consts["LAYERS"]}
+    run = ast.parse((root / "glbench" / "run.py").read_text("utf-8"))
+    per_layer, = [top for top in run.body if isinstance(top, ast.FunctionDef)
+                  and top.name == "per_layer"]
+    names = {node.value for node in ast.walk(per_layer)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and "." in node.value and node.value.split(".")[0] in public}
+    assert names
+    missing = sorted(n for n in names if n not in spans
+                     and n.split(".", 1)[1] not in public[n.split(".")[0]])
+    assert missing == []
