@@ -383,6 +383,10 @@ def eval_expr(tree) -> GLattice:
 # identification checks
 # ---------------------------------------------------------------------------
 
+# glz_conjugate budget of each conjugacy check
+_IDENTIFY_BUDGET = 60000
+
+
 @dataclass
 class IdentificationReport:
     results: list  # of (name, status, detail); status in pass/fail/unknown
@@ -407,7 +411,7 @@ def _split_form(gens, r):
     return None, None
 
 
-def _check_extension(e, tree, budget):
+def _check_extension(e, tree):
     """Check 0 -> sub -> M -> (rank-1) -> 0 structure of an entry.
 
     The claimed sub-action and the rank-1 quotient character are
@@ -430,7 +434,7 @@ def _check_extension(e, tree, budget):
     expected = eval_expr(sub_expr)
     sub_group = closure(sub_gens)
     try:
-        glz_conjugate(sub_group, expected.group, budget=budget)
+        glz_conjugate(sub_group, expected.group, budget=_IDENTIFY_BUDGET)
     except ProvablyDistinct as exc:
         return "fail", "sub-action mismatch: %s" % exc
     except BudgetExhausted:
@@ -452,23 +456,22 @@ def _check_extension(e, tree, budget):
     return "pass", "structure verified, extension non-split"
 
 
-def verify_identifications(entries=None, budget=60000) -> IdentificationReport:
-    """Check every entry with an expectation against that expectation."""
-    if entries is None:
-        entries = builtin_catalog()
+def verify_identifications() -> IdentificationReport:
+    """Check every catalog entry with an expectation against that
+    expectation."""
     results = []
-    for e in entries:
+    for e in builtin_catalog():
         if e.expected_lattice is None:
             results.append((e.name, "skip", "no expectation recorded"))
             continue
         tree = parse_expr(e.expected_lattice)
         if tree[0] == "extension":
-            status, detail = _check_extension(e, tree, budget)
+            status, detail = _check_extension(e, tree)
         else:
             expected = eval_expr(tree)
             try:
                 witness = glz_conjugate(e.group(), expected.group,
-                                        budget=budget)
+                                        budget=_IDENTIFY_BUDGET)
                 status, detail = "pass", "conjugate (witness found)"
                 del witness
             except ProvablyDistinct as exc:

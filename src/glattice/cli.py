@@ -99,10 +99,7 @@ def _word_to_index(g, word):
             raise ParseError("group has no generator %r" % base)
         e = int(exp) if exp else 1
         x = gens[k]
-        if e < 0:
-            x = g.inv[x]
-            e = -e
-        for _ in range(e):
+        for _ in range(e % g.element_orders[x]):
             idx = g.table[idx][x]
     return idx
 
@@ -214,22 +211,21 @@ def _verdict_dict(v):
 
 
 class Reporter:
-    def __init__(self, argv, as_json, out=None):
+    def __init__(self, argv, as_json):
         self.report = {"command": list(argv), "version": __version__,
                        "inputs": {}, "results": {}}
         self.as_json = as_json
-        self.out = out if out is not None else sys.stdout
         self.t0 = time.time()
 
     def line(self, text):
         if not self.as_json:
-            print(text, file=self.out)
+            print(text)
 
     def emit(self):
         self.report["timing"] = round(time.time() - self.t0, 3)
         if self.as_json:
             print(json.dumps(self.report, sort_keys=True, indent=1,
-                             default=str), file=self.out)
+                             default=str))
 
 
 def _ambient(name):

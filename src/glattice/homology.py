@@ -167,8 +167,11 @@ def hom_basis_parts(group, parts1, parts2):
     off2 = [0]
     for l in lats2:
         off2.append(off2[-1] + l.rank)
+    zero_row = (0,) * r2
     out = []
     for i, (p1, l1) in enumerate(zip(parts1, lats1)):
+        above = (zero_row,) * off1[i]
+        below = (zero_row,) * (r1 - off1[i + 1])
         for j, (p2, l2) in enumerate(zip(parts2, lats2)):
             if isinstance(p1, Subgroup):
                 block_basis = _hom_coset_to_lat(p1, l2)
@@ -178,12 +181,12 @@ def hom_basis_parts(group, parts1, parts2):
                                for b in _hom_coset_to_lat(p2, dual(l1))]
             else:
                 block_basis = hom_basis(l1, l2)
+            left = (0,) * off2[j]
+            right = (0,) * (r2 - off2[j + 1])
             for blk in block_basis:
-                rows = [[0] * r2 for _ in range(r1)]
-                for u in range(l1.rank):
-                    for v in range(l2.rank):
-                        rows[off1[i] + u][off2[j] + v] = blk.data[u][v]
-                out.append(IntMat(rows))
+                out.append(IntMat._wrap(
+                    above + tuple(left + row + right for row in blk.data)
+                    + below, r2))
     return out
 
 
@@ -416,8 +419,7 @@ class PullbackSplit:
     iso: EquivariantMap                    # sum1 -> sum2
 
 
-def pullback_split(bottom: ExactSequenceCert, rightcol: ExactSequenceCert,
-                   budget=20000):
+def pullback_split(bottom: ExactSequenceCert, rightcol: ExactSequenceCert):
     """Pull back two surjections onto a common quotient and split both
     induced rows, producing the direct-sum isomorphism
     left(bottom) + mid(rightcol) = left(rightcol) + mid(bottom).
@@ -426,7 +428,7 @@ def pullback_split(bottom: ExactSequenceCert, rightcol: ExactSequenceCert,
     group = bottom.mid.group
     pr = rightcol.surj.matrix
     if rightcol.right != bottom.right:
-        al = find_isomorphism(rightcol.right, bottom.right, budget=budget)
+        al = find_isomorphism(rightcol.right, bottom.right)
         pr = pr * al.matrix
     a, b, c = bottom.left, bottom.mid, bottom.right
     a2, b2 = rightcol.left, rightcol.mid

@@ -119,19 +119,17 @@ class GLattice:
             self.rank, self.group.order)
 
 
-def _respects_table(group: FiniteMatrixGroup, acts, p=None) -> bool:
-    """act(x) act(s) = act(xs), mod p when p is given, for every element x
-    and generator s; acts holds the matrices of all elements as one
-    (order, r, r) array with r > 0.  One product per generator: the
-    stacked matrices of all elements times act(s), against the matrices
-    of the Cayley-table column of s."""
+def _respects_table(group: FiniteMatrixGroup, acts) -> bool:
+    """act(x) act(s) = act(xs) for every element x and generator s; acts
+    holds the matrices of all elements as one (order, r, r) array with
+    r > 0.  One product per generator: the stacked matrices of all
+    elements times act(s), against the matrices of the Cayley-table
+    column of s."""
     n, r = acts.shape[0], acts.shape[1]
     stacked = acts.reshape(n * r, r)
     t = group.table
     for s in group.generator_indices:
         got = _int_matmul(stacked, acts[s]).reshape(n, r, r)
-        if p is not None:
-            got = got % p
         if not (got == acts[[t[x][s] for x in range(n)]]).all():
             return False
     return True
@@ -275,10 +273,9 @@ def perm_lattice(x: GSet) -> GLattice:
     """Z[X] with the permutation matrices of the G-set x.  GSet has
     checked the action, so the matrices are not checked again."""
     n = x.points
-    action = []
-    for p in x.perms:
-        action.append(IntMat([[1 if p[i] == j else 0 for j in range(n)]
-                              for i in range(n)]))
+    units = IntMat.identity(n).data
+    action = [IntMat._wrap(tuple(units[p[i]] for i in range(n)), n)
+              for p in x.perms]
     return GLattice(x.group, action, check=False)
 
 
@@ -598,7 +595,7 @@ def hom_basis(m: GLattice, n: GLattice):
                              m.rank, n.rank)
 
 
-def find_isomorphism(m: GLattice, n: GLattice, budget=20000) -> EquivariantMap:
+def find_isomorphism(m: GLattice, n: GLattice) -> EquivariantMap:
     """Unimodular equivariant map m -> n, or a three-valued refusal.
 
     Raises ProvablyDistinct on an invariant mismatch (elementwise
@@ -620,7 +617,7 @@ def find_isomorphism(m: GLattice, n: GLattice, budget=20000) -> EquivariantMap:
     basis = hom_basis(m, n)
     if not basis:
         raise ProvablyDistinct("Hom_G(M, N) = 0")
-    x = unimodular_in_lattice(basis, bound=budget)
+    x = unimodular_in_lattice(basis)
     if x is None:
         raise BudgetExhausted("no unimodular equivariant map found in budget")
     f = EquivariantMap(m, n, x)

@@ -1,7 +1,9 @@
 """
-Modules over F_p[G]: reduction of G-lattices mod p, cohomological
-triviality and projectivity tests, permutation-module recognition over
-p-groups, and the invertibility (permutation-summand) criterion:
+Modules over F_p[G], each given as a G-lattice M and a prime p: the
+module is F_p M = M / pM, and every function here reduces M's matrices
+mod p as it computes.  Projectivity, permutation-module recognition over
+p-groups, cohomological triviality of lattices, and the invertibility
+(permutation-summand) criterion:
 
     a lattice C is invertible when F_pC is an F_p Syl_p-permutation
     module for every prime p dividing |G|, and additionally
@@ -32,14 +34,12 @@ from collections import deque
 from dataclasses import dataclass
 
 from .intlinalg import (
-    _int_array,
     _int_matmul,
     _is_invertible_modp,
     _rref_modp,
     rank_modp,
 )
 from .groups import (
-    FiniteMatrixGroup,
     Subgroup,
     _prime_factors,
     all_subgroups,
@@ -48,9 +48,9 @@ from .groups import (
 )
 from .lattices import (
     GLattice,
-    _respects_table,
     coset_gset_sum,
     fixed_sublattice,
+    norm_matrix,
     perm_lattice,
     restrict,
     tate,
@@ -90,115 +90,43 @@ def _fixed_basis(mats, dim, p):
     return left_nullspace_modp(stacked, p)
 
 
-# ---------------------------------------------------------------------------
-# ModpModule
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ModpModule:
-    """A finite-dimensional F_p[G]-module, row action per element index."""
-    p: int
-    group: FiniteMatrixGroup
-    dim: int
-    action: tuple  # per element: tuple of tuples, entries in [0, p)
-
-    def __post_init__(self):
-        n, d = self.group.order, self.dim
-        assert len(self.action) == n
-        for a in self.action:
-            assert len(a) == d
-            assert all(len(r) == d for r in a)
-        if d == 0:
-            return
-        for s in self.group.generator_indices:
-            assert _is_invertible_modp([list(r) for r in self.action[s]],
-                                       self.p)
-        assert _respects_table(self.group, _int_array(self.action), self.p)
-
-    def act(self, i):
-        return [list(r) for r in self.action[i]]
-
-    def fixed_dim(self, members) -> int:
-        """dim of the simultaneous fixed space of the given element indices."""
-        if self.dim == 0:
-            return 0
-        gens = self.group.generating_set(frozenset(members))
-        return len(_fixed_basis([self.action[s] for s in gens], self.dim,
-                                self.p))
-
-    def norm_matrix(self, members):
-        """Sum of act(g) over the members, as the product of a row of ones
-        with the flattened matrices."""
-        members, d = list(members), self.dim
-        if not (members and d):
-            return [[0] * d for _ in range(d)]
-        acts = _int_array([self.action[g] for g in members])
-        total = _int_matmul([[1] * len(members)],
-                            acts.reshape(len(members), d * d))
-        return (total % self.p).reshape(d, d).tolist()
-
-
-def reduce_mod_p(m: GLattice, p: int) -> ModpModule:
-    if not m.rank:
-        return ModpModule(p, m.group, 0, tuple(() for _ in m.action))
-    reduced = (_int_array([a.data for a in m.action]) % p).tolist()
-    return ModpModule(p, m.group, m.rank,
-                      tuple(tuple(map(tuple, a)) for a in reduced))
+def _fixed_dim(m: GLattice, gens, p) -> int:
+    """dim of the vectors of F_p M fixed by the element indices gens."""
+    return len(_fixed_basis([m.act(s).data for s in gens], m.rank, p))
 
 
 # ---------------------------------------------------------------------------
 # cohomological triviality / projectivity
 # ---------------------------------------------------------------------------
 
-def is_cohomologically_trivial(m) -> bool:
-    """Vanishing of two consecutive Tate degrees at every Sylow subgroup.
+def is_cohomologically_trivial(m: GLattice) -> bool:
+    """Vanishing of the Tate degrees 0 and -1 over Z at every Sylow
+    subgroup.  Over F_p the test is is_projective_modp."""
+    g = m.group
+    for q in _prime_factors(g.order):
+        syl = sylow(g, q)
+        if not (tate(m, syl, 0).is_trivial()
+                and tate(m, syl, -1).is_trivial()):
+            return False
+    return True
 
-    Accepts a GLattice (degrees 0 and -1 over Z) or a ModpModule (degrees
-    0 and -1 over F_p at the Sylow p-subgroup; other primes act invertibly).
+
+def is_projective_modp(m: GLattice, p: int) -> bool:
+    """Projectivity of F_p M: its restriction to a Sylow p-subgroup P is
+    free, that is, the rank is divisible by |P| and the norm map of P has
+    rank rank/|P| (rank 1 on each free summand, 0 on every other
+    indecomposable one).
+
+    Over a p-group P an F_p[P]-module is cohomologically trivial exactly
+    when it is free (Brown, Cohomology of Groups, GTM 87, VI.8), so this
+    is also the cohomological-triviality test over F_p.
     """
-    if isinstance(m, GLattice):
-        g = m.group
-        for q in _prime_factors(g.order):
-            syl = sylow(g, q)
-            if not (tate(m, syl, 0).is_trivial()
-                    and tate(m, syl, -1).is_trivial()):
-                return False
+    if m.rank == 0:
         return True
-    assert isinstance(m, ModpModule)
-    if m.dim == 0:
-        return True
-    syl = sylow(m.group, m.p)
-    if syl.order == 1:
-        return True
-    norm = m.norm_matrix(syl.members)
-    # H^0 = fixed / image of norm; H^-1 = ker(norm) / augmentation image
-    fixed = m.fixed_dim(syl.members)
-    rk_norm = rank_modp(norm, m.p)
-    if rk_norm != fixed:
+    syl = sylow(m.group, p)
+    if m.rank % syl.order != 0:
         return False
-    # ker N / sum (g-1)M: compare dimensions
-    gens = syl.generators()
-    blocks = []
-    for s in gens:
-        a = m.act(s)
-        blocks.append([[(a[i][j] - (1 if i == j else 0)) % m.p
-                        for j in range(m.dim)] for i in range(m.dim)])
-    aug_rows = [row for b in blocks for row in b]
-    aug_rank = rank_modp(aug_rows, m.p) if aug_rows else 0
-    ker_norm = m.dim - rk_norm
-    return aug_rank == ker_norm
-
-
-def is_projective_modp(m: ModpModule) -> bool:
-    """Freeness of the restriction to a Sylow p-subgroup: the dimension is
-    divisible by |P| and the norm map has rank dim/|P|."""
-    if m.dim == 0:
-        return True
-    syl = sylow(m.group, m.p)
-    if m.dim % syl.order != 0:
-        return False
-    norm = m.norm_matrix(syl.members)
-    return rank_modp(norm, m.p) == m.dim // syl.order
+    return rank_modp(norm_matrix(m, syl).data, p) == m.rank // syl.order
 
 
 # ---------------------------------------------------------------------------
@@ -285,48 +213,47 @@ def _socle_transversal(spaces, p):
     return [chosen[i] for i in range(len(spaces))]
 
 
-def _spread(m: ModpModule, q: Subgroup, f):
-    """Rows of the map m -> F_p[G/Q] with column f at the base coset:
+def _spread(m: GLattice, q: Subgroup, f, p):
+    """Rows of the map F_p M -> F_p[G/Q] with column f at the base coset:
     column k is act(g_k^-1) f for the k-th coset representative g_k.
 
     Coset k of q.right_cosets is point k of coset_gset, and coset 0 is Q
     itself because the identity is element 0.
     """
-    group, p = m.group, m.p
+    inv = m.group.inv
     cols = [[sum(x * y for x, y in zip(row, f)) % p
-             for row in m.action[group.inv[g]]]
+             for row in m.act(inv[g]).data]
             for g in q.right_cosets[0]]
     return [list(row) for row in zip(*cols)]
 
 
-def is_permutation_modp(m: ModpModule):
-    """Recognize m as a direct sum of coset permutation modules of its
-    p-group.  Returns (multiset of Subgroups, isomorphism matrix rows) or
-    raises ProvablyNot.
+def is_permutation_modp(m: GLattice, p: int):
+    """Recognize F_p M as a direct sum of coset permutation modules of
+    m's p-group.  Returns (multiset of Subgroups, isomorphism matrix rows)
+    or raises ProvablyNot.
 
     Every subgroup multiset that meets the fixed-point dimensions is a
     candidate, and each is decided on the socle (module docstring), so
-    ProvablyNot means that m is not a permutation module.
+    ProvablyNot means that F_p M is not a permutation module.
     """
-    p = m.p
     group = m.group
     assert all(q == p for q in _prime_factors(group.order)), "group must be a p-group"
-    if m.dim == 0:
+    if m.rank == 0:
         return ([], [])
     reps = all_subgroups(group).representatives()
-    # invariant data: fixed dims of m under every class rep, and the orbit
-    # counts |Q\G/H| of each rep H on each coset space of Q
-    profile = [m.fixed_dim(h.members) for h in reps]
+    # invariant data: fixed dims of F_p M under every class rep, and the
+    # orbit counts |Q\G/H| of each rep H on each coset space of Q
+    profile = [_fixed_dim(m, h.generators(), p) for h in reps]
     columns = [[len(dcs) for dcs in row] for row in double_coset_table(group)]
-    socle = _fixed_basis([m.action[s] for s in group.generator_indices],
-                         m.dim, p)
+    socle = _fixed_basis([m.act(s).data for s in group.generator_indices],
+                         m.rank, p)
     fixed = {}  # class position -> (base columns f, socle images)
 
     def fixed_at(pos):
         if pos not in fixed:
-            cols = _fixed_basis([tuple(zip(*m.action[s]))
+            cols = _fixed_basis([tuple(zip(*m.act(s).data))
                                  for s in reps[pos].generators()],
-                                m.dim, p)
+                                m.rank, p)
             fixed[pos] = (cols, [[sum(x * y for x, y in zip(v, f)) % p
                                   for v in socle] for f in cols])
         return fixed[pos]
@@ -338,24 +265,20 @@ def is_permutation_modp(m: ModpModule):
         if picks is None:
             continue
         subs = [reps[pos] for pos in ms]
-        blocks = [_spread(m, reps[pos], fixed_at(pos)[0][j])
+        blocks = [_spread(m, reps[pos], fixed_at(pos)[0][j], p)
                   for pos, j in zip(ms, picks)]
         found = [sum(rows, []) for rows in zip(*blocks)]
-        assert _intertwines(m, _direct_sum_perm_modp(group, subs, p), found)
+        assert _intertwines(m, perm_lattice(coset_gset_sum(group, subs)),
+                            found, p)
         return (subs, found)
     raise ProvablyNot(reason)
 
 
-def _intertwines(m: ModpModule, c: ModpModule, f) -> bool:
-    """act_m(s) f = f act_c(s) for every generator s."""
-    p = m.p
-    return all(_mat_mul_modp(m.act(s), f, p) == _mat_mul_modp(f, c.act(s), p)
+def _intertwines(m: GLattice, c: GLattice, f, p) -> bool:
+    """act_m(s) f = f act_c(s) mod p for every generator s."""
+    return all(_mat_mul_modp(m.act(s).data, f, p)
+               == _mat_mul_modp(f, c.act(s).data, p)
                for s in m.group.generator_indices)
-
-
-def _direct_sum_perm_modp(group, subs, p) -> ModpModule:
-    """The permutation module of the cosets of subs, over F_p."""
-    return reduce_mod_p(perm_lattice(coset_gset_sum(group, subs)), p)
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +287,11 @@ def _direct_sum_perm_modp(group, subs, p) -> ModpModule:
 
 @dataclass(frozen=True)
 class SylowPermutationWitness:
-    """F_p(M) restricted to a Sylow p-subgroup P is the permutation module
-    of the subgroups Q of P; `iso` holds the rows of an isomorphism
-    F_p(M|P) -> sum of F_p[P/Q].  The Q are subgroups of one standalone
-    copy of P (sylow.as_group())."""
+    """The lattice M restricted to a Sylow p-subgroup P is, mod p, the
+    permutation module of the subgroups Q of P: `iso` holds the rows,
+    entries in [0, p), of an isomorphism F_p(M|P) -> sum of F_p[P/Q].
+    M|P lives over one standalone copy of P (sylow.as_group()), and the
+    Q are subgroups of that copy."""
     prime: int
     sylow: Subgroup
     subgroups: tuple
@@ -413,26 +337,25 @@ def _verify_sylow_witness(m: GLattice, w: SylowPermutationWitness) -> bool:
             or set(sgrp.elements) != set(syl.matrices())):
         return False
     res = restrict(m, syl, hgroup=sgrp)
-    modp = reduce_mod_p(res, p)
     if p == 2 and (fixed_sublattice(res, sgrp.full_subgroup()).rows
-                   != modp.fixed_dim(range(sgrp.order))):
+                   != _fixed_dim(res, sgrp.generator_indices, p)):
         return False
-    cand = _direct_sum_perm_modp(sgrp, w.subgroups, p)
+    cand = perm_lattice(coset_gset_sum(sgrp, w.subgroups))
     f = [list(row) for row in w.iso]
-    if (cand.dim != modp.dim or len(f) != modp.dim
-            or any(len(row) != cand.dim for row in f)):
+    if (cand.rank != res.rank or len(f) != res.rank
+            or any(len(row) != cand.rank for row in f)):
         return False
-    if modp.dim == 0:
+    if res.rank == 0:
         return True
-    return _is_invertible_modp(f, p) and _intertwines(modp, cand, f)
+    return _is_invertible_modp(f, p) and _intertwines(res, cand, f, p)
 
 
 def is_invertible(m: GLattice) -> Invertibility:
     """Permutation-summand test: F_p(m) must be Syl_p-permutation for each
     prime p | |G|, with the additional rank equality at p = 2.
 
-    One pass over the primes: restrict to the Sylow p-subgroup, reduce
-    mod p, recognise a permutation module.  Returns an Invertibility with
+    One pass over the primes: restrict to the Sylow p-subgroup and
+    recognise a permutation module mod p.  Returns an Invertibility with
     the witnesses, or with the obstruction at the first prime that rules
     invertibility out; every prime is decided.
     """
@@ -442,17 +365,16 @@ def is_invertible(m: GLattice) -> Invertibility:
         syl = sylow(g, p)
         sgrp = syl.as_group()
         res = restrict(m, syl, hgroup=sgrp)
-        modp = reduce_mod_p(res, p)
         if p == 2:
             qrank = fixed_sublattice(res, sgrp.full_subgroup()).rows
-            frank = modp.fixed_dim(range(sgrp.order))
+            frank = _fixed_dim(res, sgrp.generator_indices, p)
             if qrank != frank:
                 return Invertibility(m, obstruction={
                     "prime": 2, "sylow": syl,
                     "reason": "fixed-point rank drops mod 2 "
                               "(%d over Z, %d over F_2)" % (qrank, frank)})
         try:
-            subs, iso = is_permutation_modp(modp)
+            subs, iso = is_permutation_modp(res, p)
         except ProvablyNot as e:
             return Invertibility(m, obstruction={"prime": p, "sylow": syl,
                                                  "reason": str(e)})

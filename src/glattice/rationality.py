@@ -390,14 +390,14 @@ class HereditaryReport:
     top: RationalityVerdict
 
 
-def hereditary_closure(m: GLattice, budget=20000) -> HereditaryReport:
+def hereditary_closure(m: GLattice) -> HereditaryReport:
     """classify(restrict(m, H)) for every subgroup class representative;
     the top verdict is HereditarilyRational only when every restriction
     reaches Rational or better."""
     entries = []
     ok = True
     for h in all_subgroups(m.group).representatives():
-        v = classify(restrict(m, h), budget=budget)
+        v = classify(restrict(m, h))
         entries.append((h, v))
         if not v.implies(RATIONAL):
             ok = False
@@ -583,7 +583,7 @@ def _perm_sign(p):
     return sign
 
 
-def norm_one_classify(spec: NormOneSpec, budget=200000) -> RationalityVerdict:
+def norm_one_classify(spec: NormOneSpec) -> RationalityVerdict:
     """Decision table for the norm-one torus of a degree-[G:H] extension
     with Galois closure group G and H the closure's subgroup over the
     intermediate field; raises UnrecognizedShape when no structural
@@ -625,7 +625,7 @@ def norm_one_classify(spec: NormOneSpec, budget=200000) -> RationalityVerdict:
         if n == 5:
             res = quasi_permutation_check(
                 spec.lattice(), resolution=_a5_flasque_resolution(g, x),
-                iso_budget=budget)
+                iso_budget=200000)
             assert res.verdict == "yes"
             steps.append(CertStep("quasi_permutation", {"result": res}))
             return RationalityVerdict(STABLY_RATIONAL, tuple(steps))

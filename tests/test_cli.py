@@ -1,10 +1,11 @@
 import json
+import time
 from importlib import resources
 
 import pytest
 
 from glattice import catalog
-from glattice.cli import EXPR_HEADS, run
+from glattice.cli import EXPR_HEADS, resolve_subgroup, run
 
 
 def run_json(capsys, *argv):
@@ -224,6 +225,19 @@ def test_catalog_name_subgroup(capsys):
     assert code == 0
     assert out["results"]["left_rank"] == 3
     assert [o for o, _i in out["results"]["flasque_checks"]][-1] == 8
+
+
+@pytest.mark.parametrize("e, order", [(3 * 10 ** 9, 1),
+                                      (-3 * 10 ** 9 - 1, 2)])
+def test_generator_word_exponent_reduced_mod_the_order(e, order):
+    # a has order 2 in dade-2-1; one table step per unit of e would take
+    # minutes here
+    g = catalog.entry("dade-2-1").group()
+    t0 = time.perf_counter()
+    h = resolve_subgroup(g, "gens:[a^%d]" % e)
+    assert time.perf_counter() - t0 < 1
+    assert h == resolve_subgroup(g, "gens:[a^%d]" % (e % 2))
+    assert h.order == order
 
 
 @pytest.mark.parametrize("expr", [

@@ -26,12 +26,11 @@ from glattice.lattices import (
     trivial_lattice,
 )
 from glattice.modular import (
-    ModpModule,
     ProvablyNot,
     SylowPermutationWitness,
     _candidate_multisets,
-    _direct_sum_perm_modp,
     _fixed_basis,
+    _fixed_dim,
     _socle_transversal,
     _spread,
     is_cohomologically_trivial,
@@ -40,7 +39,6 @@ from glattice.modular import (
     is_projective_modp,
     left_nullspace_modp,
     rank_modp,
-    reduce_mod_p,
 )
 
 
@@ -83,46 +81,18 @@ def test_rank_and_nullspace_modp():
 # ---------------------------------------------------------------------------
 
 def test_reduce_sign_mod2_is_trivial():
-    m = reduce_mod_p(std_lattice(C2), 2)
-    assert m.action[1] == ((1,),)
-    subs, f = is_permutation_modp(m)
+    # -1 is 1 mod 2: the sign lattice of C2 is the trivial module over F_2
+    m = std_lattice(C2)
+    assert _fixed_dim(m, C2.generator_indices, 2) == 1
+    assert _fixed_dim(m, C2.generator_indices, 3) == 0
+    subs, f = is_permutation_modp(m, 2)
     assert [q.order for q in subs] == [2]
 
 
 def test_reduce_perm_mod3():
-    x = gset_from_permutation_matrices(S3)
-    m = reduce_mod_p(perm_lattice(x), 3)
-    assert m.dim == 3
-    assert m.fixed_dim(range(6)) == 1
-
-
-def test_modp_homomorphism_validated():
-    # the non-identity element mapped to 2 mod 5 (order 4, not 2)
-    with pytest.raises(AssertionError):
-        ModpModule(5, C2, 1, (((1,),), ((2,),)))
-
-
-@pytest.mark.parametrize("p", [5, 2 ** 61 - 1])
-def test_modp_homomorphism_checked_on_both_product_paths(p):
-    # p = 2^61 - 1 puts p^2 past 2^63, so the check multiplies in Python
-    # integers; p = 5 keeps it in int64
-    ModpModule(p, C2, 1, (((1,),), ((p - 1,),)))
-    # the non-identity element mapped to 2 (of order > 2 mod p)
-    with pytest.raises(AssertionError):
-        ModpModule(p, C2, 1, (((1,),), ((2,),)))
-    # two S3 elements' matrices swapped: each invertible, no homomorphism.
-    # The twist puts entries near p into the matrices.
-    u = IntMat([[1, 2 ** 40, 0], [0, 1, 0], [0, 0, 1]])
-    ui = u.inverse_unimodular()
-    twisted = GLattice(S3, [u * a * ui for a in perm_lattice(
-        gset_from_permutation_matrices(S3)).action])
-    action = list(reduce_mod_p(twisted, p).action)
-    if p > 5:
-        assert max(x for a in action for r in a for x in r) > 2 ** 32
-    a, b = [i for i in range(1, S3.order) if action[i] != action[0]][:2]
-    action[a], action[b] = action[b], action[a]
-    with pytest.raises(AssertionError):
-        ModpModule(p, S3, 3, tuple(action))
+    m = perm_lattice(gset_from_permutation_matrices(S3))
+    assert m.rank == 3
+    assert _fixed_dim(m, S3.generator_indices, 3) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +104,12 @@ def test_cohomologically_trivial_free():
         zg = coset_lattice(g, g.trivial_subgroup())
         assert is_cohomologically_trivial(zg)
         for p in (2, 3):
-            assert is_cohomologically_trivial(reduce_mod_p(zg, p))
+            assert is_projective_modp(zg, p)
 
 
 def test_cohomologically_trivial_negatives():
     assert not is_cohomologically_trivial(trivial_lattice(C2))
-    assert not is_cohomologically_trivial(reduce_mod_p(trivial_lattice(C3), 3))
+    assert not is_projective_modp(trivial_lattice(C3), 3)
     assert not is_cohomologically_trivial(std_lattice(C2))
 
 
@@ -149,7 +119,7 @@ def test_lattice_vs_modp_triviality_consistent():
         zg = coset_lattice(g, g.trivial_subgroup())
         m = direct_sum(zg, zg)
         assert is_cohomologically_trivial(m)
-        assert is_cohomologically_trivial(reduce_mod_p(m, 2))
+        assert is_projective_modp(m, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +129,12 @@ def test_lattice_vs_modp_triviality_consistent():
 def test_projective_group_algebra():
     for g, p in [(C2, 2), (C3, 3), (S3, 2), (S3, 3)]:
         zg = coset_lattice(g, g.trivial_subgroup())
-        assert is_projective_modp(reduce_mod_p(zg, p))
+        assert is_projective_modp(zg, p)
 
 
 def test_projective_trivial_module_over_p_group():
-    assert not is_projective_modp(reduce_mod_p(trivial_lattice(C3), 3))
-    assert not is_projective_modp(reduce_mod_p(trivial_lattice(C2), 2))
+    assert not is_projective_modp(trivial_lattice(C3), 3)
+    assert not is_projective_modp(trivial_lattice(C2), 2)
 
 
 def test_projective_iff_stabilizer_order_coprime_to_p():
@@ -174,7 +144,7 @@ def test_projective_iff_stabilizer_order_coprime_to_p():
             zx = coset_lattice(g, h)
             for p in (2, 3):
                 expected = h.order % p != 0
-                assert is_projective_modp(reduce_mod_p(zx, p)) == expected
+                assert is_projective_modp(zx, p) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -184,29 +154,30 @@ def test_projective_iff_stabilizer_order_coprime_to_p():
 def test_recognize_coset_modules():
     assert WB2.order == 8
     for q in all_subgroups(WB2).representatives():
-        m = reduce_mod_p(coset_lattice(WB2, q), 2)
-        subs, f = is_permutation_modp(m)
-        assert sum(WB2.order // s.order for s in subs) == m.dim
+        m = coset_lattice(WB2, q)
+        subs, f = is_permutation_modp(m, 2)
+        assert sum(WB2.order // s.order for s in subs) == m.rank
         # the recognized multiset reproduces all fixed-point dimensions
+        cand = perm_lattice(coset_gset_sum(WB2, subs))
         for h in all_subgroups(WB2).representatives():
-            cand = _direct_sum_perm_modp(WB2, subs, 2)
-            assert cand.fixed_dim(h.members) == m.fixed_dim(h.members)
+            assert (_fixed_dim(cand, h.generators(), 2)
+                    == _fixed_dim(m, h.generators(), 2))
 
 
 def test_recognize_twisted_permutation_module():
-    subs, f = is_permutation_modp(reduce_mod_p(twisted_regular_c4(), 2))
+    subs, f = is_permutation_modp(twisted_regular_c4(), 2)
     assert [s.order for s in subs] == [1]
 
 
 def test_recognize_provably_not():
     # the 2-dim F3[C3]-module from Z[zeta_3] is indecomposable non-permutation
     with pytest.raises(ProvablyNot):
-        is_permutation_modp(reduce_mod_p(std_lattice(C3_ZETA), 3))
+        is_permutation_modp(std_lattice(C3_ZETA), 3)
 
 
 def test_recognize_regular_module_at_zero_budget():
-    m = reduce_mod_p(coset_lattice(C4, C4.trivial_subgroup()), 2)
-    subs, f = is_permutation_modp(m)
+    m = coset_lattice(C4, C4.trivial_subgroup())
+    subs, f = is_permutation_modp(m, 2)
     assert [s.order for s in subs] == [1]
 
 
@@ -235,24 +206,22 @@ def full_then_filter(columns, profile):
                         for h in range(len(profile)))]
 
 
-def candidate_data(m):
+def candidate_data(m, p):
     reps = all_subgroups(m.group).representatives()
     assert reps[0].order == 1
-    profile = [m.fixed_dim(h.members) for h in reps]
+    profile = [_fixed_dim(m, h.generators(), p) for h in reps]
     columns = [[len(dcs) for dcs in row] for row in double_coset_table(m.group)]
     return columns, profile
 
 
 def test_candidate_multisets_match_full_enumeration():
-    modules = [reduce_mod_p(std_lattice(C2), 2),
-               reduce_mod_p(twisted_regular_c4(), 2),
-               reduce_mod_p(std_lattice(C3_ZETA), 3),
-               reduce_mod_p(direct_sum(twisted_regular_c4(),
-                                       std_lattice(C4)), 2)]
-    modules += [reduce_mod_p(coset_lattice(WB2, q), 2)
+    modules = [(std_lattice(C2), 2), (twisted_regular_c4(), 2),
+               (std_lattice(C3_ZETA), 3),
+               (direct_sum(twisted_regular_c4(), std_lattice(C4)), 2)]
+    modules += [(coset_lattice(WB2, q), 2)
                 for q in all_subgroups(WB2).representatives()]
-    for m in modules:
-        columns, profile = candidate_data(m)
+    for m, p in modules:
+        columns, profile = candidate_data(m, p)
         _full, survivors = full_then_filter(columns, profile)
         assert list(_candidate_multisets(columns, profile)) == survivors
 
@@ -263,27 +232,27 @@ def test_dade_3_3_flasque_rules_out_every_candidate():
     # dimension than the default budget, and none survives
     f = flasque_resolution(entry("dade-3-3").lattice()).cert.right
     syl = sylow(f.group, 2)
-    m = reduce_mod_p(restrict(f, syl), 2)
-    columns, profile = candidate_data(m)
+    m = restrict(f, syl)
+    columns, profile = candidate_data(m, 2)
     full, survivors = full_then_filter(columns, profile)
-    assert (syl.order, m.dim) == (16, 15)
+    assert (syl.order, m.rank) == (16, 15)
     assert len(full) > 20000 and survivors == []
     assert list(_candidate_multisets(columns, profile)) == []
     with pytest.raises(ProvablyNot):
-        is_permutation_modp(m)
+        is_permutation_modp(m, 2)
     inv = is_invertible(f)
     assert not inv and inv.obstruction["prime"] == 2
 
 
-def dense_hom_basis(m, c):
-    """Reference: Hom_{F_p[G]}(m, c) = {F : act_m(g) F = F act_c(g)},
-    solved as one linear system in all m.dim * c.dim entries of F."""
-    p = m.p
-    rm, rn = m.dim, c.dim
+def dense_hom_basis(m, c, p):
+    """Reference: Hom_{F_p[G]}(F_p m, F_p c) = {F : act_m(g) F = F
+    act_c(g) mod p}, solved as one linear system in all m.rank * c.rank
+    entries of F."""
+    rm, rn = m.rank, c.rank
     cols = []
     for s in m.group.generator_indices:
-        a = m.act(s)
-        b = c.act(s)
+        a = m.act(s).data
+        b = c.act(s).data
         for i in range(rm):
             for k in range(rn):
                 col = [0] * (rm * rn)
@@ -299,19 +268,19 @@ def dense_hom_basis(m, c):
     return left_nullspace_modp(rows, p)
 
 
-def adjunction_hom_basis(m, subs):
-    """Hom_{F_p[G]}(m, sum of F_p[G/Q]) by Frobenius reciprocity: one map
-    per base column f in (M*)^Q, spread over the cosets of its summand,
-    each flattened row-major."""
+def adjunction_hom_basis(m, subs, p):
+    """Hom_{F_p[G]}(F_p m, sum of F_p[G/Q]) by Frobenius reciprocity: one
+    map per base column f in (M*)^Q, spread over the cosets of its
+    summand, each flattened row-major."""
     n = sum(m.group.order // q.order for q in subs)
     basis = []
     off = 0
     for q in subs:
         k = m.group.order // q.order
         gens = m.group.generating_set(q.members)
-        for f in _fixed_basis([tuple(zip(*m.action[s])) for s in gens],
-                              m.dim, m.p):
-            block = _spread(m, q, f)
+        for f in _fixed_basis([tuple(zip(*m.act(s).data)) for s in gens],
+                              m.rank, p):
+            block = _spread(m, q, f, p)
             basis.append([x for row in block
                           for x in [0] * off + row + [0] * (n - off - k)])
         off += k
@@ -319,32 +288,32 @@ def adjunction_hom_basis(m, subs):
 
 
 def hom_modules():
-    modules = [reduce_mod_p(std_lattice(C2), 2),
-               reduce_mod_p(twisted_regular_c4(), 2),
-               reduce_mod_p(std_lattice(C3_ZETA), 3)]
-    return modules + [reduce_mod_p(coset_lattice(WB2, q), 2)
+    """(lattice, prime) pairs over p-groups."""
+    modules = [(std_lattice(C2), 2), (twisted_regular_c4(), 2),
+               (std_lattice(C3_ZETA), 3)]
+    return modules + [(coset_lattice(WB2, q), 2)
                       for q in all_subgroups(WB2).representatives()]
 
 
 def test_hom_basis_adjunction_matches_dense_solve():
-    for m in hom_modules():
+    for m, p in hom_modules():
         reps = all_subgroups(m.group).representatives()
         for subs in [[q] for q in reps] + [reps]:
-            adj = adjunction_hom_basis(m, subs)
+            adj = adjunction_hom_basis(m, subs, p)
             dense = dense_hom_basis(
-                m, _direct_sum_perm_modp(m.group, subs, m.p))
-            assert rank_modp(adj, m.p) == len(adj) == len(dense)
-            assert rank_modp(adj + dense, m.p) == len(dense)
+                m, perm_lattice(coset_gset_sum(m.group, subs)), p)
+            assert rank_modp(adj, p) == len(adj) == len(dense)
+            assert rank_modp(adj + dense, p) == len(dense)
 
 
-def socle_matrix(m, subs, f):
+def socle_matrix(m, subs, f, p):
     """[v_a . f_i]: the image of each socle basis vector v_a under f, one
     multiple of the orbit sum per summand i."""
-    socle = _fixed_basis([m.action[s] for s in m.group.generator_indices],
-                         m.dim, m.p)
+    socle = _fixed_basis([m.act(s).data for s in m.group.generator_indices],
+                         m.rank, p)
     out = []
     for v in socle:
-        image = [sum(x * row[k] for x, row in zip(v, f)) % m.p
+        image = [sum(x * row[k] for x, row in zip(v, f)) % p
                  for k in range(len(f[0]))]
         row, off = [], 0
         for q in subs:
@@ -360,22 +329,22 @@ def test_socle_matrix_decides_invertibility():
     # random maps from the dense Hom reference, for every candidate
     rng = random.Random(5)
     seen = set()
-    for m in hom_modules():
+    for m, p in hom_modules():
         reps = all_subgroups(m.group).representatives()
-        for ms in _candidate_multisets(*candidate_data(m)):
+        for ms in _candidate_multisets(*candidate_data(m, p)):
             subs = [reps[pos] for pos in ms]
             dense = dense_hom_basis(
-                m, _direct_sum_perm_modp(m.group, subs, m.p))
-            n = len(dense[0]) // m.dim
+                m, perm_lattice(coset_gset_sum(m.group, subs)), p)
+            n = len(dense[0]) // m.rank
             for _ in range(20):
-                coeffs = [rng.randrange(m.p) for _ in dense]
-                flat = [sum(c * b[e] for c, b in zip(coeffs, dense)) % m.p
-                        for e in range(m.dim * n)]
-                f = [flat[i * n:(i + 1) * n] for i in range(m.dim)]
-                s = socle_matrix(m, subs, f)
+                coeffs = [rng.randrange(p) for _ in dense]
+                flat = [sum(c * b[e] for c, b in zip(coeffs, dense)) % p
+                        for e in range(m.rank * n)]
+                f = [flat[i * n:(i + 1) * n] for i in range(m.rank)]
+                s = socle_matrix(m, subs, f, p)
                 assert len(s) == len(subs)
-                iso = rank_modp(f, m.p) == m.dim
-                assert iso == (rank_modp(s, m.p) == len(subs))
+                iso = rank_modp(f, p) == m.rank
+                assert iso == (rank_modp(s, p) == len(subs))
                 seen.add(iso)
     assert seen == {True, False}
 
@@ -438,10 +407,10 @@ def test_j_plus_j_mod_3_is_provably_not():
     # a candidate (regular + trivial) meets the fixed-point dimensions,
     # but two Jordan blocks of size 2 are not one of size 3 plus one of 1
     j = std_lattice(C3_ZETA)
-    m = reduce_mod_p(direct_sum(j, j), 3)
-    assert list(_candidate_multisets(*candidate_data(m)))
+    m = direct_sum(j, j)
+    assert list(_candidate_multisets(*candidate_data(m, 3)))
     with pytest.raises(ProvablyNot):
-        is_permutation_modp(m)
+        is_permutation_modp(m, 3)
     inv = is_invertible(direct_sum(j, j))
     assert not inv and inv.obstruction["prime"] == 3
 
@@ -461,7 +430,7 @@ def test_recognize_twisted_sum_of_every_coset_module():
     u = IntMat(u)
     ui = u.inverse_unimodular()
     twisted = GLattice(syl, [u * a * ui for a in m.action])
-    subs, f = is_permutation_modp(reduce_mod_p(twisted, 2))
+    subs, f = is_permutation_modp(twisted, 2)
     assert sorted(reps.index(q) for q in subs) == list(range(8))
     inv = is_invertible(twisted)
     assert inv and inv.verify()

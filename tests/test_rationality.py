@@ -29,6 +29,7 @@ from glattice.rationality import (
     RETRACT_RATIONAL,
     STABLY_RATIONAL,
     NormOneSpec,
+    RationalityVerdict,
     UnrecognizedShape,
     aug_tensor,
     classify,
@@ -264,6 +265,25 @@ def test_classify_retract_rational_dim4(name):
     inv = v.certificate[1].data["witness"]
     assert inv.lattice is v.certificate[1].data["flasque"]
     assert inv.verify()
+
+
+@pytest.mark.parametrize("name", [
+    "dade-2-1", "dade-3-2", "z-3-7-4-3", "z-3-4-5-2", "z-3-4-5-2-c",
+    "dade-4-7", "dade-4-8", "z-4-25-9-2", "z-4-25-7-5", "z-4-24-3-4",
+    "z-4-33-2-1", "z-4-31-1-3", "z-4-31-1-4", "z-4-31-2-2", "z-4-31-4-2",
+    "z-4-31-5-2"])
+def test_classify_reaches_the_catalog_verdict(name):
+    e = entry(name)
+    assert classify(e.lattice()).level == e.expected_verdict
+
+
+@pytest.mark.parametrize("name", ["dade-2-2", "z-4-13-6-4"])
+def test_classify_verdict_within_the_catalog_verdict(name):
+    # classify certifies StablyRational; the catalog records more
+    e = entry(name)
+    v = classify(e.lattice())
+    assert v.implies(STABLY_RATIONAL)
+    assert RationalityVerdict(e.expected_verdict).implies(v.level)
 
 
 def test_verdict_implication_order():

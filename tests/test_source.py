@@ -197,3 +197,59 @@ def test_benchmark_reads_only_traced_names():
     missing = sorted(n for n in names if n not in spans
                      and n.split(".", 1)[1] not in public[n.split(".")[0]])
     assert missing == []
+
+
+def _calls():
+    """{callee name: [(positional argument count, keyword names)]} over
+    every call in src/, tests/ and glbench/; a function is called by its
+    name, a method by its attribute name.  A *args argument counts as
+    every position and a **kwargs argument as every keyword (None)."""
+    root = SRC.parents[1]
+    out = {}
+    for pattern in ("src/**/*.py", "tests/*.py", "glbench/*.py"):
+        for path in root.glob(pattern):
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                out.setdefault(name, []).append(
+                    (float("inf") if starred else len(node.args),
+                     None if None in keywords else keywords))
+    return out
+
+
+def test_every_defaulted_parameter_is_passed():
+    """Every parameter with a default, on any function or method of the
+    package, is passed by keyword or by position in at least one call in
+    src/, tests/ or glbench/; `__init__` is called by its class name.  A
+    default that no call overrides is a constant, not an option."""
+    calls = _calls()
+    unpassed = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        methods = {id(f): cls.name for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for f in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            is_static = any(getattr(d, "id", None) == "staticmethod"
+                            for d in node.decorator_list)
+            skip = 1 if id(node) in methods and not is_static else 0
+            defaulted = [(i - skip, a.arg) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(None, a.arg) for a, d in
+                          zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            name = (methods[id(node)] if node.name == "__init__"
+                    and id(node) in methods else node.name)
+            for pos, arg in defaulted:
+                if not any(kw is None or arg in kw
+                           or (pos is not None and n > pos)
+                           for n, kw in calls.get(name, ())):
+                    unpassed.append("%s:%s(%s)" % (path.name, node.name, arg))
+    assert unpassed == []
