@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from .intlinalg import (
     BudgetExhausted,
     IntMat,
-    _int_matmul,
     _is_invertible_modp,
     intertwiner_basis,
     unimodular_in_lattice,
@@ -51,16 +50,25 @@ class FiniteMatrixGroup:
     Element 0 is the identity; the rest follow breadth-first discovery
     order with a lexicographic tie-break on matrix entries, so the element
     numbering is deterministic for a fixed generator list.  The elements
-    at generator_indices generate the group; the Cayley table is built on
-    first use from the products of each of them with all elements.
+    at generator_indices generate the group.
+
+    `right` is a function of no arguments that returns, for each of
+    generator_indices in order, the right multiplication x -> x s by that
+    generator s as a list over element indices.  Each constructor already
+    holds these index permutations: `closure` computed the products x s,
+    `Subgroup.as_group` reads them from the parent table and
+    `lattices.quotient_group` from the coset action.  The Cayley table is
+    built from them on first use, with no matrix product; `right` is
+    called at most once and then dropped.
     """
 
-    def __init__(self, rank, elements, generator_indices, name=None):
+    def __init__(self, rank, elements, generator_indices, right, name=None):
         self.rank = rank
         self.elements = tuple(elements)
         self.generator_indices = tuple(generator_indices)
         self.index = {m: i for i, m in enumerate(self.elements)}
         self.name = name
+        self._right = right
         self._table = None
         self._inv = None
         self._orders = None
@@ -95,33 +103,29 @@ class FiniteMatrixGroup:
 
     def _build_table(self):
         """The table from the Cayley graph (Holt, Eick and O'Brien,
-        Handbook of Computational Group Theory, 2005, ch. 4).  Left
-        multiplication x -> s x by a generator s is a permutation of the
-        element indices, one product of s with all elements; row s y of
-        the table is that permutation applied to row y, since
-        (s y) x = s (y x).  The rows are filled along a breadth-first
-        spanning tree from the identity, whose row is the identity map:
-        |gens| matrix products and n^2 list lookups for n elements."""
+        Handbook of Computational Group Theory, 2005, ch. 4).  Right
+        multiplication x -> x s by a generator s is a permutation of the
+        element indices, given by the constructor; column x s of the
+        table is that permutation applied to column x, since
+        y (x s) = (y x) s.  The columns are filled along a breadth-first
+        spanning tree from the identity, whose column is the identity map,
+        and transposed: n^2 list lookups for n elements, no product."""
         n = self.order
-        key = {m.data: i for i, m in enumerate(self.elements)}
-        stack = [m.data for m in self.elements]
-        left = []
-        for s in self.generator_indices:
-            if s:  # the identity adds no edge
-                prod = _int_matmul(self.elements[s].data, stack).tolist()
-                left.append([key[tuple(map(tuple, m))] for m in prod])
-        rows = [None] * n
-        rows[0] = list(range(n))
+        right = [perm for s, perm in zip(self.generator_indices, self._right())
+                 if s]  # the identity adds no edge
+        self._right = None
+        cols = [None] * n
+        cols[0] = list(range(n))
         tree = [0]
-        for y in tree:
-            row = rows[y]
-            for perm in left:
-                z = perm[y]
-                if rows[z] is None:
-                    rows[z] = list(map(perm.__getitem__, row))
+        for x in tree:
+            col = cols[x]
+            for perm in right:
+                z = perm[x]
+                if cols[z] is None:
+                    cols[z] = list(map(perm.__getitem__, col))
                     tree.append(z)
         assert len(tree) == n, "the generators do not generate the group"
-        return rows
+        return list(map(list, zip(*cols)))
 
     @property
     def inv(self):
@@ -295,16 +299,21 @@ class Subgroup:
     def as_group(self):
         """The subgroup as a standalone FiniteMatrixGroup (same matrices).
 
-        The parent's element orders and characteristic polynomials, when
-        already computed, carry over to the new element numbering.
+        Its right multiplications by generators are read from the parent
+        table when its own table is first needed.  The parent's element
+        orders and characteristic polynomials, when already computed,
+        carry over to the new element numbering.
         """
         p = self.parent
         ident = IntMat.identity(p.rank)
         order = sorted(self.members, key=lambda i: (p.elements[i] != ident,
                                                     _sort_key(p.elements[i])))
         pos = {i: k for k, i in enumerate(order)}
-        sub = FiniteMatrixGroup(p.rank, [p.elements[i] for i in order],
-                                [pos[i] for i in self.generators()])
+        gens = self.generators()
+        t = p.table
+        sub = FiniteMatrixGroup(
+            p.rank, [p.elements[i] for i in order], [pos[i] for i in gens],
+            lambda: [[pos[t[x][s]] for x in order] for s in gens])
         if p._orders is not None:
             sub._orders = [p._orders[i] for i in order]
         if p._charpolys is not None:
@@ -355,29 +364,29 @@ def closure(generators, order_cap=4000, name=None) -> FiniteMatrixGroup:
             raise NotUnimodular(repr(g))
     ident = IntMat.identity(r)
     elements = [ident]
-    seen = {ident}
+    index = {ident: 0}
+    products = {}  # x -> (x g for g in gens), the right multiplications
     frontier = [ident]
     while frontier:
         new = set()
         for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in seen and y not in new:
-                    new.add(y)
-        new = sorted(new, key=_sort_key)
+            products[x] = row = tuple(x * g for g in gens)
+            new.update(row)
+        new = sorted(new.difference(index), key=_sort_key)
         for y in new:
-            seen.add(y)
+            index[y] = len(elements)
             elements.append(y)
-            if len(elements) > order_cap:
-                raise OrderCapExceeded("order cap %d exceeded" % order_cap)
+        if len(elements) > order_cap:
+            raise OrderCapExceeded("order cap %d exceeded" % order_cap)
         frontier = new
-    gen_idx = []
-    index = {m: i for i, m in enumerate(elements)}
-    for g in gens:
+    gen_idx, gen_pos = [], []
+    for k, g in enumerate(gens):
         i = index[g]
         if i not in gen_idx:
             gen_idx.append(i)
-    return FiniteMatrixGroup(r, elements, gen_idx, name=name)
+            gen_pos.append(k)
+    right = [[index[products[x][k]] for x in elements] for k in gen_pos]
+    return FiniteMatrixGroup(r, elements, gen_idx, lambda: right, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -857,13 +866,12 @@ def glz_conjugate(g1: FiniteMatrixGroup, g2: FiniteMatrixGroup,
         x = unimodular_in_lattice(basis, bound=allow)
         spent += allow
         if x is not None:
-            # X * rho1(s) * X^-1 = rho2(f(s)); verify set equality, all
-            # of g1 in two stacked products
+            # X g1 X^-1 = g2 as matrix sets: conjugation by X is an
+            # injective homomorphism, so X g1 X^-1 is a group of order
+            # |g1| = |g2| generated by the X s X^-1, and these lie in g2
             xinv = x.inverse_unimodular()
-            mapped = _int_matmul(_int_matmul(
-                x.data, [m.data for m in g1.elements]), xinv.data).tolist()
-            assert ({tuple(map(tuple, m)) for m in mapped}
-                    == {m.data for m in g2.elements})
+            assert g1.order == g2.order and all(
+                x * g1.elements[s] * xinv in g2.index for s in gens)
             return x
     if not found_iso:
         raise ProvablyDistinct(

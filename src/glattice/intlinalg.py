@@ -6,9 +6,17 @@ form with its transformation matrix, Smith invariant factors (the
 transforms are never built), saturated kernel bases, cokernel invariants,
 integral linear solving, row reduction and the invertibility test over
 F_p, LLL basis reduction, and a bounded search for unimodular elements of
-a lattice of square matrices.  That search and the orbit-basis assembly in
-`lattices` share one unimodularity screen: a stacked float determinant,
-then an exact one on the survivors.
+a lattice of square matrices.
+
+numpy is imported on first use, by `_numpy`, and only on the paths where
+it wins: an IntMat product of at least `_NUMPY_MUL_SIZE` scalar
+multiplications, the stacked products of `lattices` (the homomorphism
+check of a lattice action, the orbit search) and of the F_p layer, and
+the stacked float determinant screen of the unimodular search for
+matrices larger than 4x4.  The 3x3 and 4x4 products of the paper's groups
+stay in Python, where they are faster (6.4 us against 9.5 us for a 4x4
+product on a 2-core x86-64 host), so importing the package, building
+groups and their standard lattices and the census never load numpy.
 
 Every integer matrix product that leaves Python goes through one guard,
 `_int_matmul`: numpy int64 when no partial sum can overflow, Python
@@ -24,8 +32,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from operator import mul
 
 
 class BudgetExhausted(Exception):
@@ -142,12 +149,11 @@ class IntMat:
         if not (self.rows and self.cols):
             return IntMat.zeros(self.rows, other.cols)
         if self.rows * self.cols * other.cols >= _NUMPY_MUL_SIZE:
-            prod = _int_matmul(_int_array(self.data), _int_array(other.data))
+            prod = _int_matmul(self.data, other.data)
             return IntMat._wrap(tuple(map(tuple, prod.tolist())), other.cols)
         bt = list(zip(*other.data))
-        return IntMat._wrap(tuple(tuple(sum(a * b for a, b in zip(row, col))
-                                        for col in bt) for row in self.data),
-                            other.cols)
+        return IntMat._wrap(tuple(tuple(sum(map(mul, row, col)) for col in bt)
+                                  for row in self.data), other.cols)
 
     __matmul__ = __mul__
 
@@ -254,13 +260,25 @@ class IntMat:
 # ---------------------------------------------------------------------------
 
 # IntMat products with at least this many scalar multiplications go
-# through numpy; below it the conversions cost more than they save
-_NUMPY_MUL_SIZE = 64
+# through numpy; below it the conversions cost more than they save.  On a
+# 2-core x86-64 host a square product of small entries took 9.7 us in
+# Python against 10.0 us through numpy at 5x5x5 (125), and 14.3 against
+# 10.9 us at 6x6x6 (216): medians over three runs of the best of 7 x 2000
+# products, from tuples of ints back to tuples of ints.
+_NUMPY_MUL_SIZE = 150
+
+
+def _numpy():
+    """The numpy module, imported on its first use: only the paths where
+    numpy wins call this, so the r <= 4 paths never load it."""
+    import numpy
+    return numpy
 
 
 def _int_array(rows):
     """Integer matrix, or stack of them, as an int64 array when every entry
     fits, otherwise as an object array of Python ints.  Arrays pass."""
+    np = _numpy()
     if isinstance(rows, np.ndarray):
         return rows
     try:
@@ -285,6 +303,7 @@ def _int_matmul(a, b):
     shapes, rows or arrays from _int_array): an int64 array when
     _fits_int64, otherwise an object array computed in Python ints."""
     a, b = _int_array(a), _int_array(b)
+    np = _numpy()
     if (a.dtype == np.int64 and b.dtype == np.int64
             and _fits_int64(a.shape[-1], _max_abs(a), _max_abs(b))):
         return a @ b
@@ -650,19 +669,9 @@ def lll_reduce(rows):
 # Unimodular element search in a matrix lattice
 # ---------------------------------------------------------------------------
 
-def _first_unimodular(stack, exact):
-    """The first exact(i) of determinant +-1, over the indices i whose
-    float matrix stack[i] passes |log|det|| < 0.5; None if there is none.
-
-    A unimodular integer matrix has log|det| = 0 up to rounding, so the
-    stacked float slogdet only decides which candidates get an exact
-    determinant."""
-    signs, logdets = np.linalg.slogdet(stack)
-    for i in np.flatnonzero((signs != 0) & (np.abs(logdets) < 0.5)):
-        m = exact(int(i))
-        if m.is_unimodular():
-            return m
-    return None
+# unimodular_in_lattice screens candidates of at most this size one at a
+# time with an exact determinant, larger ones in float batches
+_EXACT_SCREEN_SIZE = 4
 
 
 def _search_order(d, bound):
@@ -694,19 +703,22 @@ def unimodular_in_lattice(basis, bound=20000):
     element of determinant +-1.
 
     The flattened basis is LLL-reduced and combined with the coefficient
-    vectors of `_search_order`, drawn in batches of 64 doubling to 4096
-    that go through one float determinant screen.  `bound` counts
-    determinant evaluations.  Returns the first element found, or None
-    once the budget is exhausted ("unknown", never "no").
+    vectors of `_search_order`.  Up to size `_EXACT_SCREEN_SIZE` (every
+    GL_r(Z) conjugacy search of the paper) each candidate gets one exact
+    determinant; larger ones are drawn in batches of 64 doubling to 4096
+    that go through one float determinant screen.  Either way the first
+    unimodular candidate in search order is returned, and `bound` counts
+    the candidates screened.  Returns None once the budget is exhausted
+    ("unknown", never "no").
     """
     basis = [m for m in basis if not m.is_zero()]
     if not basis:
         return None
     size = basis[0].rows
     assert all(m.is_square() and m.rows == size for m in basis)
-    flat = [[x for row in m.data for x in row] for m in basis]
+    flat = tuple(tuple(x for row in m.data for x in row) for m in basis)
     # drop Z-linear dependencies via HNF
-    f = hnf(IntMat(flat))
+    f = hnf(IntMat._wrap(flat, size * size))
     indep = [row for row in f.h.data if any(row)]
     # exact-rational LLL is only worthwhile for modest flattened dimensions
     if size * size <= 600 and len(indep) <= 30:
@@ -714,18 +726,34 @@ def unimodular_in_lattice(basis, bound=20000):
     else:
         reduced = indep
     columns = list(zip(*reduced))
-    floats = np.array(reduced, dtype=float)
     candidates = _search_order(len(reduced), bound)
+
+    def element(c):
+        entries = [sum(map(mul, c, col)) for col in columns]
+        return IntMat._wrap(tuple(tuple(entries[i:i + size])
+                                  for i in range(0, size * size, size)), size)
+
+    if size <= _EXACT_SCREEN_SIZE:
+        for c in itertools.islice(candidates, bound):
+            m = element(c)
+            if m.is_unimodular():
+                return m
+        return None
+    np = _numpy()
+    floats = np.array(reduced, dtype=float)
     evals = 0
     batch = 64
     while evals < bound:
         coeffs = list(itertools.islice(candidates, min(batch, bound - evals)))
         evals += len(coeffs)
         stack = (np.array(coeffs, dtype=float) @ floats).reshape(-1, size, size)
-        hit = _first_unimodular(stack, lambda i: IntMat.from_flat(
-            size, size, [sum(c * x for c, x in zip(coeffs[i], col))
-                         for col in columns]))
-        if hit is not None:
-            return hit
+        # a unimodular integer matrix has log|det| = 0 up to rounding, so
+        # the float screen only decides which candidates get an exact
+        # determinant
+        signs, logdets = np.linalg.slogdet(stack)
+        for i in np.flatnonzero((signs != 0) & (np.abs(logdets) < 0.5)):
+            m = element(coeffs[i])
+            if m.is_unimodular():
+                return m
         batch = min(2 * batch, 4096)
     return None

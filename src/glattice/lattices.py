@@ -24,16 +24,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .intlinalg import (
     AbelianInvariants,
     BudgetExhausted,
     IntMat,
     TRIVIAL_GROUP,
-    _first_unimodular,
     _int_array,
     _int_matmul,
+    _numpy,
     cokernel_invariants,
     hnf,
     intertwiner_basis,
@@ -235,8 +233,8 @@ def sub_lattice_from_rows(p: GLattice, rows: IntMat):
 def std_lattice(g: FiniteMatrixGroup) -> GLattice:
     """The lattice the matrix group acts on tautologically.  Not checked:
     the action is the group's own elements, and table[x][y] is the index of
-    x y, by induction along the tree that builds the Cayley table (row s y
-    is s times row y), so it is a homomorphism by construction."""
+    x y, by induction along the tree that builds the Cayley table (column
+    x s is column x times s), so it is a homomorphism by construction."""
     return GLattice(g, g.elements, check=False)
 
 
@@ -426,13 +424,18 @@ def quotient_group(g: FiniteMatrixGroup, n: Subgroup):
     pos = {j: i for i, j in enumerate(order)}
     elems = [mats[j] for j in order]
     proj = [pos[c] for c in coset_of]
-    gen_idx = []
+    # the generators of Q, each with one preimage in g; x -> x s in Q is
+    # the coset of reps[j] s for the element of coset j
+    gen_idx, pre = [], []
     for s in g.generator_indices:
         if proj[s] not in gen_idx and proj[s] != 0:
             gen_idx.append(proj[s])
+            pre.append(s)
     if not gen_idx:
-        gen_idx = [0]
-    q = FiniteMatrixGroup(k, elems, gen_idx)
+        gen_idx, pre = [0], [0]
+    q = FiniteMatrixGroup(
+        k, elems, gen_idx,
+        lambda: [[pos[coset_of[t[reps[j]][s]]] for j in order] for s in pre])
     return q, proj
 
 
@@ -464,14 +467,13 @@ def fixed_sublattice(m: GLattice, h: Subgroup) -> IntMat:
 
 
 def norm_matrix(m: GLattice, h: Subgroup) -> IntMat:
-    """Sum of act(g) over g in h, as the product of a row of ones with the
-    flattened matrices."""
+    """Sum of act(g) over g in h, entry by entry."""
     r = m.rank
     if r == 0:
         return IntMat.zeros(0, 0)
-    acts = _int_array([m.act(i).data for i in h.members])
-    total = _int_matmul([[1] * h.order], acts.reshape(h.order, r * r))
-    return IntMat.from_flat(r, r, total[0].tolist())
+    mats = [m.act(i).data for i in h.members]
+    return IntMat._wrap(tuple(tuple(map(sum, zip(*rows)))
+                              for rows in zip(*mats)), r)
 
 
 def tate(m: GLattice, h: Subgroup, k: int) -> AbelianInvariants:
@@ -826,7 +828,7 @@ def _orbit_basis_search(m: GLattice, budget, up_to_sign, points):
         coeffs = _int_array(list(_short_vectors(len(basis_rows), radius)))
         vecs = _int_matmul(coeffs, basis_rows)
         norms = _int_matmul(vecs[:, None, :], vecs[:, :, None]).reshape(-1)
-        return vecs[np.argsort(norms, kind="stable")]
+        return vecs[_numpy().argsort(norms, kind="stable")]
 
     # A vector whose orbit fits among `points` vectors has a stabilizer of
     # index <= points, so it lies in the fixed sublattice of some subgroup
@@ -873,10 +875,10 @@ def _assemble_basis(orbits, rank, points):
     Partial selections are pruned unless their first rank rows stay
     linearly independent mod 2 (a unimodular matrix is invertible over
     F_2; any rank of the points of J_X form a basis), which collapses the
-    combinatorics when many orbits share a size.  Complete selections go
-    through the unimodularity screen of `intlinalg._first_unimodular`.
-    The search gives up once it has tried 100000 extensions of a partial
-    selection by one orbit."""
+    combinatorics when many orbits share a size.  Complete selections get
+    one exact determinant of their first rank rows.  The search gives up
+    once it has tried 100000 extensions of a partial selection by one
+    orbit."""
     orbits = sorted(orbits, key=lambda om: (-len(om[0]), om[0]))
     tries = [0]
 
@@ -898,13 +900,11 @@ def _assemble_basis(orbits, rank, points):
 
     def rec(i, chosen, total, pivots):
         if total == points:
-            rows = [list(v) for o in chosen for v in o]
+            rows = [v for o in chosen for v in o]
             if points > rank and any(map(sum, zip(*rows))):
                 return None
-            square = rows[:rank]
-            if _first_unimodular(np.array([square], dtype=float),
-                                 lambda i: IntMat(square)) is not None:
-                return rows
+            if IntMat._wrap(tuple(rows[:rank]), rank).is_unimodular():
+                return [list(v) for v in rows]
             return None
         for j in range(i, len(orbits)):
             o, masks = orbits[j]

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -278,6 +281,24 @@ def test_census_dim3_conjugating_matrices_are_pinned(monkeypatch):
 def test_census_dim3_rational_union():
     rep = census(DIM3_HEREDITARY_ROOTS)
     assert rep.count == DIM3_RATIONAL_COUNT == 58
+
+
+def test_census_leaves_numpy_unloaded():
+    # a fresh interpreter: the CLI's imports and the benchmark's census
+    # roots run on Python integers alone
+    script = (
+        "import sys\n"
+        "import glattice.cli\n"
+        "from glattice import catalog\n"
+        "counts = [catalog.census(roots).count for roots in (\n"
+        "    catalog.DIM2_ROOTS, catalog.DIM3_ROOTS,\n"
+        "    catalog.DIM3_HEREDITARY_ROOTS, ('dade-4-6',))]\n"
+        "print(counts, 'numpy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(catalog.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[13, 73, 58, 52] False"
 
 
 def test_census_tiny_budget_raises_undecided():

@@ -109,6 +109,13 @@ def _product_table(g):
     return [[index[p.tobytes()] for p in a @ arr] for a in arr]
 
 
+def _right_products(elements, generator_indices):
+    """The `right` argument of FiniteMatrixGroup from matrix products."""
+    index = {m: i for i, m in enumerate(elements)}
+    return lambda: [[index[x * elements[s]] for x in elements]
+                    for s in generator_indices]
+
+
 def test_cayley_table_matches_products():
     # fresh closures, so each table is built here from the generators
     checked = 0
@@ -118,12 +125,20 @@ def test_cayley_table_matches_products():
             assert g.table == _product_table(g), e.name
             checked += 1
         if g.order <= 24:
-            # quotients: permutation matrices on the cosets of N
             for c in all_subgroups(g).classes:
+                # subgroups as groups: tables from the parent table
+                sub = c.representative.as_group()
+                assert sub.table == _product_table(sub), e.name
+                # quotients: permutation matrices on the cosets of N
                 if c.size == 1:
                     q, _proj = quotient_group(g, c.representative)
                     assert q.table == _product_table(q), e.name
     assert checked == 31
+    # a bare group whose right multiplications come from products here
+    g = closure(list(catalog.entry("dade-3-1").generators))
+    bare = FiniteMatrixGroup(g.rank, g.elements, g.generator_indices,
+                             _right_products(g.elements, g.generator_indices))
+    assert bare.table == _product_table(g)
     # the trivial subgroup as a group has no generators
     trivial = closure(list(catalog.entry("dade-2-2").generators)) \
         .trivial_subgroup().as_group()
@@ -470,6 +485,8 @@ def test_as_group_carries_orders_and_charpolys():
     for h in all_subgroups(g).representatives():
         sub = h.as_group()
         assert sub._orders is not None and sub._charpolys is not None
-        fresh = FiniteMatrixGroup(sub.rank, sub.elements, sub.generator_indices)
+        fresh = FiniteMatrixGroup(
+            sub.rank, sub.elements, sub.generator_indices,
+            _right_products(sub.elements, sub.generator_indices))
         assert sub.element_orders == fresh.element_orders
         assert sub.charpolys == fresh.charpolys

@@ -404,8 +404,25 @@ def test_unimodular_search_respects_budget():
 
 
 def test_unimodular_search_screens_exactly_its_budget(monkeypatch):
-    # every element of this lattice has even determinant, so each search
-    # runs out: through the boxes, then the random samples
+    # every element of these lattices has an even first row, so an even
+    # determinant, and each search runs out: through the boxes, then the
+    # random samples.  Up to size 4 each candidate gets one exact
+    # determinant.
+    dets = []
+    det = IntMat.det
+
+    def counting_det(m):
+        dets.append(m)
+        return det(m)
+
+    monkeypatch.setattr(IntMat, "det", counting_det)
+    basis = [IntMat([[2, 0], [0, 1]]), IntMat([[0, 1], [2, 0]])]
+    for bound in (1, 50, 5000):
+        dets.clear()
+        assert unimodular_in_lattice(basis, bound=bound) is None
+        assert len(dets) == bound
+    monkeypatch.undo()
+    # from size 5 on, each candidate is one row of a stacked float screen
     screened = []
     slogdet = np.linalg.slogdet
 
@@ -414,7 +431,10 @@ def test_unimodular_search_screens_exactly_its_budget(monkeypatch):
         return slogdet(stack)
 
     monkeypatch.setattr(np.linalg, "slogdet", counting)
-    basis = [IntMat([[2, 0], [0, 1]]), IntMat([[0, 1], [2, 0]])]
+    shift = [[0] * 5 for _ in range(5)]
+    for i in range(5):
+        shift[i][(i + 1) % 5] = 2 if i == 0 else 1
+    basis = [IntMat.diag([2, 1, 1, 1, 1]), IntMat(shift)]
     for bound in (1, 50, 5000):
         screened.clear()
         assert unimodular_in_lattice(basis, bound=bound) is None
