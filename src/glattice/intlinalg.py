@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import signal
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -268,11 +269,28 @@ class IntMat:
 _NUMPY_MUL_SIZE = 150
 
 
+_np = None
+
+
 def _numpy():
     """The numpy module, imported on its first use: only the paths where
-    numpy wins call this, so the r <= 4 paths never load it."""
-    import numpy
-    return numpy
+    numpy wins call this, so the r <= 4 paths never load it.
+
+    Signals are held while numpy imports.  A handler that raises (a
+    deadline's SIGALRM, Ctrl-C) would otherwise stop numpy's __init__
+    halfway, and numpy cannot be imported again in the same process: every
+    later call would meet a module without most of its names.  A signal
+    that arrives meanwhile is handled as soon as the import is done."""
+    global _np
+    if _np is None:
+        held = signal.pthread_sigmask(signal.SIG_BLOCK,
+                                      signal.valid_signals())
+        try:
+            import numpy
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        _np = numpy
+    return _np
 
 
 def _int_array(rows):

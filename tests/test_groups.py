@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import random
 
-import numpy as np
 import pytest
 
 from glattice import catalog, groups
@@ -103,6 +102,7 @@ def test_cayley_table_consistent():
 def _product_table(g):
     """index[elements[i] * elements[j]], row i as one numpy int64 product
     of elements[i] with every element (exact for entries below 2^20)."""
+    import numpy as np
     assert max(m.max_abs() for m in g.elements) < 2 ** 20
     arr = np.array([m.data for m in g.elements], dtype=np.int64)
     index = {a.tobytes(): i for i, a in enumerate(arr)}

@@ -1,12 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import glattice
 from glattice.intlinalg import (
     AbelianInvariants,
     IntMat,
@@ -158,6 +161,7 @@ def test_products_with_empty_operands_keep_their_columns():
 
 
 def test_int64_product_takes_the_python_path_past_the_guard():
+    import numpy as np
     # inner * max|a| * max|b| must stay below 2^63
     assert _fits_int64(2, 2 ** 31, 2 ** 31 - 1)
     assert not _fits_int64(2, 2 ** 31, 2 ** 31)
@@ -404,6 +408,7 @@ def test_unimodular_search_respects_budget():
 
 
 def test_unimodular_search_screens_exactly_its_budget(monkeypatch):
+    import numpy as np
     # every element of these lattices has an even first row, so an even
     # determinant, and each search runs out: through the boxes, then the
     # random samples.  Up to size 4 each candidate gets one exact
@@ -439,3 +444,38 @@ def test_unimodular_search_screens_exactly_its_budget(monkeypatch):
         screened.clear()
         assert unimodular_in_lattice(basis, bound=bound) is None
         assert sum(screened) == bound
+
+
+def test_signal_during_the_numpy_import_leaves_numpy_whole():
+    # a fresh interpreter: a handler that raises is triggered in the middle
+    # of numpy's first import, once its C extension is loaded; the handler
+    # runs after the import, and numpy stays usable
+    script = (
+        "import signal, sys\n"
+        "from glattice import intlinalg\n"
+        "class Stop(Exception):\n"
+        "    pass\n"
+        "def stop(signum, frame):\n"
+        "    raise Stop\n"
+        "class Interrupt:\n"
+        "    fired = False\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if not self.fired and any(m.endswith('._multiarray_umath')\n"
+        "                                  for m in list(sys.modules)):\n"
+        "            self.fired = True\n"
+        "            signal.raise_signal(signal.SIGALRM)\n"
+        "hook = Interrupt()\n"
+        "signal.signal(signal.SIGALRM, stop)\n"
+        "sys.meta_path.insert(0, hook)\n"
+        "try:\n"
+        "    intlinalg._numpy()\n"
+        "    stopped = False\n"
+        "except Stop:\n"
+        "    stopped = True\n"
+        "np = intlinalg._numpy()\n"
+        "print(hook.fired, stopped, np.nonzero([0, 3, 0, 5])[0].tolist())\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(glattice.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "True True [1, 3]"

@@ -104,8 +104,9 @@ def test_recognize_aug_ideal_witness_is_sound():
 
 
 def _aug_ideal_cases():
-    """(label, I_X) for every coset G-set of index >= 2 of four groups,
-    and two two-orbit G-sets.  A regular G-set of a group of order > 8 is
+    """(label, build) for every coset G-set of index >= 2 of four groups,
+    and two two-orbit G-sets; build() makes I_X when the test runs, not
+    when the tests are collected.  A regular G-set of a group of order > 8 is
     left out: its points have trivial stabilizer, so only the coordinate
     box of the whole lattice holds them, and that box is past the budget."""
     groups = [("S3", S3)] + [(name, entry(name).group()) for name in
@@ -114,19 +115,21 @@ def _aug_ideal_cases():
         for k, h in enumerate(all_subgroups(g).representatives()):
             if h.order < g.order and (h.order > 1 or g.order <= 8):
                 yield ("%s:[G:H%d]=%d" % (name, k, g.order // h.order),
-                       aug_ideal(coset_gset(g, h)))
+                       lambda g=g, h=h: aug_ideal(coset_gset(g, h)))
     a3 = [h for h in all_subgroups(S3).representatives() if h.order == 3][0]
-    yield "S3: X3 + S3/A3", aug_ideal(coset_gset_sum(
+    yield "S3: X3 + S3/A3", lambda: aug_ideal(coset_gset_sum(
         S3, [point_stabilizer(S3), a3]))
     d = entry("dade-2-2").group()
     small = sorted((h for h in all_subgroups(d).representatives()
                     if 2 <= d.order // h.order <= 4), key=lambda h: -h.order)
-    yield "dade-2-2: two orbits", aug_ideal(coset_gset_sum(d, small[:2]))
+    yield "dade-2-2: two orbits", lambda: aug_ideal(
+        coset_gset_sum(d, small[:2]))
 
 
-@pytest.mark.parametrize("m", [pytest.param(m, id=label)
-                               for label, m in _aug_ideal_cases()])
-def test_recognize_aug_ideal_on_coset_gsets(m):
+@pytest.mark.parametrize("build", [pytest.param(build, id=label)
+                                   for label, build in _aug_ideal_cases()])
+def test_recognize_aug_ideal_on_coset_gsets(build):
+    m = build()
     hit = recognize_aug_ideal(m, budget=20000)
     assert hit is not None
     gset, pts = hit
