@@ -176,16 +176,15 @@ class IntMat:
 
     def block_diag(self, other):
         """The block-diagonal matrix with blocks self and other."""
-        if not (self.rows or other.rows):
-            return IntMat.zeros(0, self.cols + other.cols)
-        return IntMat([list(r) + [0] * other.cols for r in self.data]
-                      + [[0] * self.cols + list(r) for r in other.data])
+        right, left = (0,) * other.cols, (0,) * self.cols
+        return IntMat._wrap(tuple(r + right for r in self.data)
+                            + tuple(left + r for r in other.data),
+                            self.cols + other.cols)
 
     def submatrix(self, rows, cols):
-        cols = list(cols)
-        if not rows:
-            return IntMat.zeros(0, len(cols))
-        return IntMat([[self.data[i][j] for j in cols] for i in rows])
+        cols = tuple(cols)
+        return IntMat._wrap(tuple(tuple(self.data[i][j] for j in cols)
+                                  for i in rows), len(cols))
 
     def kron(self, other):
         """Kronecker product, left factor major."""

@@ -1,12 +1,19 @@
 """
 Rationality classification of algebraic tori by their character lattices.
 
-classify() runs a decision cascade: hereditary-rational detectors
-(permutation and sign-permutation bases, augmentation ideals, direct-sum
-blocks, registered coprime tensor products of augmentation ideals,
-permutation-quotient extensions, visible rank-2 wreath doubling), then a
-quasi-permutation check for stable rationality, then invertibility of
-the flasque term for retract rationality.  Verdict levels form a chain
+classify() runs a decision cascade.  A torus depends only on the image
+of G in GL(M), so a lattice with a nontrivial kernel N is first replaced
+by the standard lattice of that image (G/N), and the verdict records N.
+Then come the hereditary-rational detectors (permutation and
+sign-permutation bases, augmentation ideals, direct-sum blocks,
+registered coprime tensor products of augmentation ideals,
+permutation-quotient extensions, visible rank-2 wreath doubling); blocks
+and wreath halves are classified again, each over its own image.  A
+lattice of rank <= 2 that no detector decides is HereditarilyRational
+by Voskresenskii's theorem that every torus of dimension <= 2 is
+rational (1967): a cited step, not a witness.  Then a quasi-permutation
+check for stable rationality, then invertibility of the flasque term for
+retract rationality.  Verdict levels form a chain
 HereditarilyRational > Rational > StablyRational > RetractRational;
 NotRetractRational is the proven negative and Unknown the honest
 fallback.  All verdicts are claims about the lattice (stable and retract
@@ -63,6 +70,7 @@ from .lattices import (
     recognize_permutation,
     recognize_sign_permutation,
     restrict,
+    std_lattice,
     sub_lattice_from_rows,
     tensor,
 )
@@ -231,9 +239,15 @@ def _visible_wreath_double(m: GLattice):
     return GLattice(grp, grp.elements, check=False)
 
 
-def is_faithful(m: GLattice) -> bool:
+def _action_kernel(m: GLattice) -> Subgroup:
+    """The normal subgroup of the elements that act as the identity."""
     ident = IntMat.identity(m.rank)
-    return all(m.act(i) != ident for i in range(1, m.group.order))
+    return m.group.subgroup(i for i in range(m.group.order)
+                            if m.act(i) == ident)
+
+
+def is_faithful(m: GLattice) -> bool:
+    return _action_kernel(m).order == 1
 
 
 def _permutation_quotients(m: GLattice):
@@ -278,9 +292,26 @@ def classify(m: GLattice, budget=20000, depth=2) -> RationalityVerdict:
     if m.rank == 0:
         return RationalityVerdict(HEREDITARILY_RATIONAL,
                                   (CertStep("zero_rank"),))
+    kernel = _action_kernel(m)
+    if kernel.order > 1:
+        # the torus depends only on the image G/N of G in GL(M): the
+        # closure of the generator images, on the same Z^r
+        image = closure([m.act(s) for s in m.group.generator_indices],
+                        order_cap=m.group.order)
+        v = classify(std_lattice(image), budget, depth)
+        return RationalityVerdict(
+            v.level, (CertStep("faithful_image",
+                               {"kernel": kernel, "verdict": v}),), v.notes)
     v = _classify_hereditary(m, budget, depth)
     if v is not None:
         return v
+    if m.rank <= 2:
+        # every restriction is again a torus of dimension <= 2
+        return RationalityVerdict(
+            HEREDITARILY_RATIONAL,
+            (CertStep("voskresenskii_rank_2", {"rank": m.rank}),),
+            "citation, not a witness: every torus of dimension <= 2 is "
+            "rational (Voskresenskii 1967)")
     steps = []
     res = quasi_permutation_check(m, iso_budget=budget)
     if res.verdict == "yes":

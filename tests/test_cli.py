@@ -104,6 +104,16 @@ def test_classify_json_carries_the_verdict_note(capsys):
     assert verdict["note"] == "not stably rational (integral obstruction)"
 
 
+def test_classify_cites_the_rank_2_theorem(capsys):
+    code, out = run_json(capsys, "classify", "--group", "dade-2-2")
+    assert code == 0
+    verdict = out["results"]["verdict"]
+    assert verdict["level"] == "HereditarilyRational"
+    assert verdict["certificate"] == ["voskresenskii_rank_2"]
+    assert "Voskresenskii 1967" in verdict["note"]
+    assert "not a witness" in verdict["note"]
+
+
 def test_classify_assembles_a_basis_of_z_g_squared(capsys):
     # Z[G]^2 for |G| = 8, rank 16: the orbit-basis assembly stops after
     # a bounded number of tried extensions, so classify finishes
