@@ -1,8 +1,8 @@
 """
-Exact-sequence certificates, flasque/coflasque resolutions, the tensor
-combination lemma for sectioned sequences, pullback splitting, the
-abelian-invariant Diophantine obstruction to being stably permutation,
-and the three-valued quasi-permutation decision procedure.
+Exact-sequence certificates, flasque/coflasque resolutions, Hom lattices
+between sums of coset lattices, the abelian-invariant Diophantine
+obstruction to being stably permutation, and the three-valued
+quasi-permutation decision procedure.
 
 Conventions match the lattices module: row actions, maps act on the right
 (composition f then g has matrix f.matrix * g.matrix), permutation
@@ -16,7 +16,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .intlinalg import (
     IntMat,
@@ -42,22 +42,12 @@ from .lattices import (
     coset_lattice,
     direct_sum,
     dual,
-    find_isomorphism,
     fixed_sublattice,
     hom_basis,
     perm_lattice,
     sub_lattice_from_rows,
     tate,
-    tensor,
 )
-
-
-class SectionInvalid(Exception):
-    pass
-
-
-class DegreesNotCoprime(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -213,29 +203,6 @@ def find_isomorphism_parts(group, parts1, parts2, budget=20000):
     return m1, m2, f
 
 
-def solve_in_hom(hom_mats, products, rhs):
-    """Integer combination F = sum c_i hom_mats[i] whose product is rhs,
-    where products[i] is the product taken with hom_mats[i] (e.g.
-    inj * hom_mats[i]); the same coefficients combine the products.
-    Returns F or None."""
-    if not hom_mats:
-        return None
-    images = [[x for row in g.data for x in row] for g in products]
-    target = [x for row in rhs.data for x in row]
-    coeffs = solve_left(IntMat(images), IntMat([target]))
-    if coeffs is None:
-        return None
-    total = None
-    for c, f in zip(coeffs.data[0], hom_mats):
-        if c == 0:
-            continue
-        term = f.scale(c)
-        total = term if total is None else total + term
-    if total is None:
-        total = IntMat.zeros(hom_mats[0].rows, hom_mats[0].cols)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # resolutions
 # ---------------------------------------------------------------------------
@@ -318,157 +285,6 @@ def _flasque_tested(cert: ExactSequenceCert) -> FlasqueResolution:
         assert inv.is_trivial(), "flasque term fails the flasque test"
         checks.append((h.order, inv))
     return FlasqueResolution(cert, tuple(checks))
-
-
-# ---------------------------------------------------------------------------
-# Florence's tensor combination lemma
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SectionedSequence:
-    cert: ExactSequenceCert
-    section: EquivariantMap          # right -> mid
-    degree: int
-
-
-def _check_section(sq: SectionedSequence):
-    s, p = sq.section.matrix, sq.cert.surj.matrix
-    if s * p != IntMat.identity(sq.cert.right.rank).scale(sq.degree):
-        raise SectionInvalid("section composed with surjection is not d*id")
-
-
-def florence_combine(sq1: SectionedSequence,
-                     sq2: SectionedSequence) -> SectionedSequence:
-    """Combine two sectioned sequences of coprime degrees:
-
-    A3 = A1(x)A2,  B3 = (B1(x)B2) + (C1(x)C2),  C3 = (C1(x)B2) + (B1(x)C2)
-    fit into 0 -> A3 -> B3 -> C3 -> 0 with a section of degree d1*d2.
-
-    The surjection is (x, y) -> (x(p1(x)1) + a y(1(x)s2),
-    x(1(x)p2) + b y(s1(x)1)) where b d1 - a d2 = 1; the Bezout condition
-    makes the map onto and its kernel exactly A1(x)A2.
-    """
-    if gcd(sq1.degree, sq2.degree) != 1:
-        raise DegreesNotCoprime("degrees %d, %d" % (sq1.degree, sq2.degree))
-    _check_section(sq1)
-    _check_section(sq2)
-    c1, c2 = sq1.cert, sq2.cert
-    a3 = tensor(c1.left, c2.left)
-    b3 = direct_sum(tensor(c1.mid, c2.mid), tensor(c1.right, c2.right))
-    t3 = direct_sum(tensor(c1.right, c2.mid), tensor(c1.mid, c2.right))
-    j1, j2 = c1.inj.matrix, c2.inj.matrix
-    p1, p2 = c1.surj.matrix, c2.surj.matrix
-    s1, s2 = sq1.section.matrix, sq2.section.matrix
-    b1r, b2r = c1.mid.rank, c2.mid.rank
-    c1r, c2r = c1.right.rank, c2.right.rank
-    # injection: a (x) a' -> (j1 a (x) j2 a', 0)
-    inj3 = j1.kron(j2).hstack(IntMat.zeros(a3.rank, c1r * c2r))
-    # Bezout coefficients: beta*d1 - alpha*d2 = 1
-    beta, alpha = _bezout_pair(sq1.degree, sq2.degree)
-    top = (p1.kron(IntMat.identity(b2r))).hstack(
-        IntMat.identity(b1r).kron(p2))
-    bot = (IntMat.identity(c1r).kron(s2).scale(alpha)).hstack(
-        s1.kron(IntMat.identity(c2r)).scale(beta))
-    pi3 = top.stack(bot)
-    cert = ExactSequenceCert(a3, b3, t3,
-                             EquivariantMap(a3, b3, inj3),
-                             EquivariantMap(b3, t3, pi3))
-    ok, reason = verify_exact(cert, explain=True)
-    assert ok, "combined sequence failed verification: " + reason
-    # solve for a section of degree d1*d2 inside Hom_G(C3, B3)
-    homs = hom_basis(t3, b3)
-    d3 = sq1.degree * sq2.degree
-    s3 = solve_in_hom(homs, [f * pi3 for f in homs],
-                      IntMat.identity(t3.rank).scale(d3))
-    if s3 is None:
-        raise SectionInvalid("no section of degree %d exists" % d3)
-    out = SectionedSequence(cert, EquivariantMap(t3, b3, s3), d3)
-    _check_section(out)
-    return out
-
-
-def _bezout_pair(d1, d2):
-    """(beta, alpha) with beta*d1 - alpha*d2 = 1, both nonzero."""
-    old_r, r = d1, d2
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    assert old_r == 1
-    beta = old_s
-    alpha = (beta * d1 - 1) // d2
-    if beta == 0 or alpha == 0:
-        beta += d2
-        alpha += d1
-    assert beta * d1 - alpha * d2 == 1 and beta and alpha
-    return beta, alpha
-
-
-# ---------------------------------------------------------------------------
-# pullback splitting
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PullbackSplit:
-    pullback: GLattice
-    row_to_bottom_mid: ExactSequenceCert   # 0 -> A' -> E -> B -> 0
-    row_to_right_mid: ExactSequenceCert    # 0 -> A -> E -> B' -> 0
-    sum1: GLattice                         # A + B'
-    sum2: GLattice                         # A' + B
-    iso: EquivariantMap                    # sum1 -> sum2
-
-
-def pullback_split(bottom: ExactSequenceCert, rightcol: ExactSequenceCert):
-    """Pull back two surjections onto a common quotient and split both
-    induced rows, producing the direct-sum isomorphism
-    left(bottom) + mid(rightcol) = left(rightcol) + mid(bottom).
-    Returns a PullbackSplit or None when a splitting is not found.
-    """
-    group = bottom.mid.group
-    pr = rightcol.surj.matrix
-    if rightcol.right != bottom.right:
-        al = find_isomorphism(rightcol.right, bottom.right)
-        pr = pr * al.matrix
-    a, b, c = bottom.left, bottom.mid, bottom.right
-    a2, b2 = rightcol.left, rightcol.mid
-    stacked = bottom.surj.matrix.stack(pr.scale(-1))
-    k = kernel_basis(stacked)
-    assert k.rows == a.rank + b2.rank
-    big = direct_sum(b, b2)
-    e, _inc = sub_lattice_from_rows(big, k)
-    # induced rows
-    j1 = solve_left(k, IntMat.zeros(a2.rank, b.rank).hstack(rightcol.inj.matrix))
-    assert j1 is not None
-    q1 = k.submatrix(range(k.rows), range(b.rank))
-    row1 = ExactSequenceCert(a2, e, b, EquivariantMap(a2, e, j1),
-                             EquivariantMap(e, b, q1))
-    j2 = solve_left(k, bottom.inj.matrix.hstack(IntMat.zeros(a.rank, b2.rank)))
-    assert j2 is not None
-    q2 = k.submatrix(range(k.rows), range(b.rank, b.rank + b2.rank))
-    row2 = ExactSequenceCert(a, e, b2, EquivariantMap(a, e, j2),
-                             EquivariantMap(e, b2, q2))
-    assert verify_exact(row1) and verify_exact(row2)
-    r1 = _find_retraction(e, a2, j1)
-    r2 = _find_retraction(e, a, j2)
-    if r1 is None or r2 is None:
-        return None
-    phi1 = r1.hstack(q1)     # E -> A' + B
-    phi2 = r2.hstack(q2)     # E -> A  + B'
-    sum1 = direct_sum(a, b2)
-    sum2 = direct_sum(a2, b)
-    assert phi1.is_unimodular() and phi2.is_unimodular()
-    iso = EquivariantMap(sum1, sum2, phi2.inverse_unimodular() * phi1)
-    assert iso.check() and iso.matrix.is_unimodular()
-    return PullbackSplit(e, row1, row2, sum1, sum2, iso)
-
-
-def _find_retraction(e: GLattice, a: GLattice, inj: IntMat):
-    if a.rank == 0:
-        return IntMat.zeros(e.rank, 0)
-    homs = hom_basis(e, a)
-    return solve_in_hom(homs, [inj * f for f in homs],
-                        IntMat.identity(a.rank))
 
 
 # ---------------------------------------------------------------------------

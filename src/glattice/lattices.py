@@ -22,6 +22,7 @@ H^0(C2, Z) = Z/2 and permutation lattices are flasque and coflasque.)
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .intlinalg import (
@@ -36,6 +37,7 @@ from .intlinalg import (
     hnf,
     intertwiner_basis,
     kernel_basis,
+    rank_modp,
     solve_left,
     unimodular_in_lattice,
 )
@@ -43,6 +45,8 @@ from .groups import (
     FiniteMatrixGroup,
     ProvablyDistinct,
     Subgroup,
+    _is_power_of,
+    _prime_factors,
     _sort_key,
     _subgroup_orbit,
     all_subgroups,
@@ -701,15 +705,116 @@ def _gset_of_rows(m: GLattice, rows) -> GSet:
     return GSet(m.group, len(rows), perms)
 
 
+def _cyclic_generators(g: FiniteMatrixGroup):
+    """(c, order of c) for one generator c of each nontrivial cyclic
+    subgroup class rep of g, in the order of cyclic_subgroup_classes."""
+    orders = g.element_orders
+    for h in cyclic_subgroup_classes(g):
+        n = h.order
+        yield min(x for x in h.members if orders[x] == n), n
+
+
+def _mobius(k):
+    ps = _prime_factors(k)
+    return (-1) ** len(ps) if math.prod(ps) == k else 0
+
+
+def _marks_pass(m: GLattice, shift) -> bool:
+    """Whether chi_M + shift passes the mark test of a permutation
+    character on every cyclic subgroup class: a necessary condition for
+    M = Z[X] (shift 0) and for M = I_X (shift 1).
+
+    Proof.  If M = Z[X], chi_M(g) is the number of points of X that g
+    fixes; if M = I_X, the sequence 0 -> I_X -> Z[X] -> Z -> 0 gives
+    chi_M + 1 = chi_{Z[X]}.  Restrict X to a cyclic C = <c> of order n.
+    Its subgroups are the C_e = <c^(n/e)>, one for each e | n; let a_d
+    be the number of points whose stabilizer in C is exactly C_d.  A
+    point is fixed by C_e iff its stabilizer C_d has e | d, so
+    chi(c^(n/e)) + shift = sum_{e|d|n} a_d, and Moebius inversion on the
+    divisor lattice of n gives a_d = sum_{d|e|n} mu(e/d)
+    (chi(c^(n/e)) + shift).  (These are the marks of the C-set X, as in
+    tom Dieck, Transformation Groups, I.5.)  So a character with some
+    a_d < 0 is not a permutation character, and M is not of that shape.
+
+    The points with stabilizer C_d form orbits of n/d points, so a_d is
+    also a multiple of n/d; that needs no test.  The rational irreducible
+    characters of C are rho_d = Q(zeta_d), d | n, and the permutation
+    character of C/C_(n/d) is sum_{e|d} rho_e, so by Moebius inversion
+    every character of a lattice is an integer combination of the
+    permutation characters of the C/C_e, and its a_d is n/d times the
+    coefficient of C/C_d.
+    """
+    chi = m.character()
+    g = m.group
+    for c, n in _cyclic_generators(g):
+        powers = g.powers(c)
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        fixed = {e: chi[powers[(n // e) % n]] + shift for e in divisors}
+        for d in divisors:
+            if sum(_mobius(e // d) * fixed[e]
+                   for e in divisors if e % d == 0) < 0:
+                return False
+    return True
+
+
+def _jordan_types_pass(m: GLattice) -> bool:
+    """Whether, for every cyclic subgroup class <c> of prime-power order
+    p^k, every Jordan block of act(c) - 1 over F_p has p-power size: a
+    necessary condition for a sign-permutation basis.
+
+    Proof.  Let c permute a basis up to sign.  Its cycles on the basis
+    lines have lengths L dividing p^k.  On the span of one cycle,
+    act(c)^L is the scalar e = the product of the signs around it, and
+    e^(p^k / L) = 1 since c^(p^k) = 1.  For odd p that exponent is odd,
+    so e = 1, and rescaling the basis vectors of the cycle by signs makes
+    the block the plain L-cycle permutation matrix.  For p = 2 the signs
+    vanish mod 2 and the block already is that matrix mod 2.  The L-cycle
+    matrix has minimal polynomial x^L - 1, which equals (x - 1)^L over
+    F_p as L is a power of p; so act(c) - 1 is one nilpotent Jordan block
+    of size L on the cycle, and act(c) - 1 mod p is the direct sum of
+    blocks of p-power sizes.
+
+    The sizes are read from the ranks r_j of (act(c) - 1)^j over F_p:
+    r_(j-1) - r_j blocks have size >= j, so r_(j-1) - 2 r_j + r_(j+1)
+    have size exactly j.  act(c)^(p^k) = 1 makes act(c) - 1 nilpotent
+    mod p, and the powers stop at the first r_j = 0.
+    """
+    r = m.rank
+    for c, n in _cyclic_generators(m.group):
+        ps = _prime_factors(n)
+        if len(ps) != 1:
+            continue
+        p = ps[0]
+        nil = [[(x - (i == j)) % p for j, x in enumerate(row)]
+               for i, row in enumerate(m.act(c).data)]
+        cols = list(zip(*nil))
+        ranks = [r, rank_modp(nil, p)]
+        power = nil
+        while ranks[-1]:
+            power = [[sum(x * y for x, y in zip(row, col)) % p
+                      for col in cols] for row in power]
+            ranks.append(rank_modp(power, p))
+        ranks.append(0)
+        for j in range(1, len(ranks) - 1):
+            if (ranks[j - 1] - 2 * ranks[j] + ranks[j + 1]
+                    and not _is_power_of(j, p)):
+                return False
+    return True
+
+
 def recognize_permutation(m: GLattice, budget=200000):
     """Search for a Z-basis permuted by the action.
 
-    Pre-screen: a permutation lattice has H^-1(C, M) = H^1(C, M) = 0 for
-    every cyclic subgroup C, since by Shapiro's lemma and Mackey's formula
-    both are sums of H^-1 and H^1 of subgroups of C with coefficients in
-    Z, which vanish (Brown, Cohomology of Groups, GTM 87, III.5-III.6).
-    For cyclic C the two are isomorphic (2-periodicity), so the screen
-    reads H^-1 only.  A lattice that fails it gets None without a search.
+    Pre-screens, each a necessary condition, so a lattice that fails one
+    gets None without a search:
+
+    - Tate: a permutation lattice has H^-1(C, M) = H^1(C, M) = 0 for
+      every cyclic subgroup C, since by Shapiro's lemma and Mackey's
+      formula both are sums of H^-1 and H^1 of subgroups of C with
+      coefficients in Z, which vanish (Brown, Cohomology of Groups,
+      GTM 87, III.5-III.6).  For cyclic C the two are isomorphic
+      (2-periodicity), so the screen reads H^-1 only.
+    - Marks: chi_M is a permutation character (`_marks_pass`, shift 0).
 
     Otherwise enumerates candidate vectors of sup-norm <= 3 in increasing
     radius, collects full G-orbits of size <= rank, and looks for a union
@@ -717,6 +822,8 @@ def recognize_permutation(m: GLattice, budget=200000):
     None ("unknown": the search is sound but not complete).
     """
     if not all(inv.is_trivial() for inv in _cyclic_tate_groups(m)):
+        return None
+    if not _marks_pass(m, 0):
         return None
     basis_rows = _orbit_basis_search(m, budget, False, m.rank)
     if basis_rows is None:
@@ -731,13 +838,20 @@ def recognize_permutation(m: GLattice, budget=200000):
 def recognize_sign_permutation(m: GLattice, budget=200000):
     """Like recognize_permutation but the basis may be permuted up to sign.
 
-    Pre-screen: a sign-permutation lattice is a sum of lattices induced
-    from rank-one sign lattices, so H^-1(C, M) and H^1(C, M) are sums of
-    H^-1(D, Z) = 0 and H^-1(D, Z^-) = Z/2 over subgroups D of C (Brown,
-    GTM 87, III.5-III.6): of exponent <= 2 for every cyclic C.  By
-    2-periodicity H^1(C, M) = H^-1(C, M), so the screen reads H^-1 only.
+    Pre-screens, each a necessary condition:
+
+    - Tate: a sign-permutation lattice is a sum of lattices induced from
+      rank-one sign lattices, so H^-1(C, M) and H^1(C, M) are sums of
+      H^-1(D, Z) = 0 and H^-1(D, Z^-) = Z/2 over subgroups D of C (Brown,
+      GTM 87, III.5-III.6): of exponent <= 2 for every cyclic C.  By
+      2-periodicity H^1(C, M) = H^-1(C, M), so the screen reads H^-1
+      only.
+    - Jordan type: act(c) - 1 mod p has Jordan blocks of p-power sizes
+      for every c of prime-power order p^k (`_jordan_types_pass`).
     """
     if not all(set(inv.factors) <= {2} for inv in _cyclic_tate_groups(m)):
+        return None
+    if not _jordan_types_pass(m):
         return None
     basis_rows = _orbit_basis_search(m, budget, True, m.rank)
     if basis_rows is None:

@@ -10,7 +10,31 @@ p-groups, cohomological triviality of lattices, and the invertibility
     dim_Q (QC)^{Syl_2} = dim_{F_2} (F_2 C)^{Syl_2}.
 
 is_invertible() decides this in one pass over the primes and returns the
-isomorphisms it found as a re-verifiable witness.  Maps into a
+isomorphisms it found as a re-verifiable witness.
+
+Where the criterion comes from.  C is invertible when C + C' is a
+permutation lattice for some C'.  Invertibility is Sylow-local: C is
+invertible iff its restriction to every Sylow subgroup is (Lorenz,
+Multiplicative Invariant Theory, 2005, ch. 2).  The criterion reads each
+Sylow restriction mod p.  It has been the package's test since its first
+version, stated without a source; no proof of its "yes" half is given
+here, and `Invertibility.verify()` re-checks the mod-p isomorphisms and
+the rank equality, not a splitting over Z.
+
+Why a "no" is sound.  Let C + C' = Z[X] and let P be a Sylow p-subgroup.
+Restriction keeps permutation lattices, so F_p C + F_p C' = F_p[X] is a
+sum of transitive F_p[P/Q] over the P-orbits of X.  Each F_p[P/Q] is
+indecomposable: the socle of a module over the p-group P is its P-fixed
+part (Alperin, ch. 1), which in F_p[P/Q] is the line of the orbit sum,
+and every nonzero summand has a nonzero socle.  By Krull-Schmidt over
+the finite-dimensional algebra F_p[P], the summand F_p C is then a sum of
+some of the F_p[P/Q]: a permutation module.  For the rank equality, any
+lattice M has dim_Q (QM)^P <= dim_{F_p} (F_p M)^P, since M^P is
+saturated in M, so M^P / pM^P embeds in (M / pM)^P.  Both dimensions
+add over direct sums, and for Z[X] both count the P-orbits of X (the
+orbit sums span the fixed part over any field).  Equality for the sum
+and <= for each summand force equality for C.  So a C that fails the
+criterion at some p is not invertible.  Maps into a
 permutation module come from Frobenius reciprocity (Brown, Cohomology of
 Groups, GTM 87, III.5): Hom_P(M, F_p[P/Q]) = (M*)^Q.  Such a map F is
 determined by its column f at the base coset Q, which may be any column

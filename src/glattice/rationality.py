@@ -59,6 +59,7 @@ from .lattices import (
     GSet,
     _cyclic_tate_groups,
     _gset_of_rows,
+    _marks_pass,
     _orbit_basis_search,
     aug_ideal,
     coset_gset,
@@ -142,13 +143,17 @@ def aug_tensor(x: GSet, y: GSet) -> GLattice:
 def recognize_aug_ideal(m: GLattice, budget=200000):
     """Search for an identification M = I_X.
 
-    Pre-screen: I_X has cyclic H^-1(C, M) and H^1(C, M) for every cyclic
-    subgroup C.  From 0 -> I_X -> Z[X] -> Z -> 0 and the vanishing of
-    H^-1 and H^1 of the permutation lattice Z[X] (Brown, Cohomology of
-    Groups, GTM 87, III.5-III.6), they are quotients of H^-2(C, Z) = C
-    and of H^0(C, Z) = Z/|C|.  For cyclic C, H^1(C, M) = H^-1(C, M) by
-    2-periodicity, so the screen reads H^-1 only.  A lattice that fails
-    it gets None without a search.
+    Pre-screens, each a necessary condition, so a lattice that fails one
+    gets None without a search:
+
+    - Tate: I_X has cyclic H^-1(C, M) and H^1(C, M) for every cyclic
+      subgroup C.  From 0 -> I_X -> Z[X] -> Z -> 0 and the vanishing of
+      H^-1 and H^1 of the permutation lattice Z[X] (Brown, Cohomology of
+      Groups, GTM 87, III.5-III.6), they are quotients of H^-2(C, Z) = C
+      and of H^0(C, Z) = Z/|C|.  For cyclic C, H^1(C, M) = H^-1(C, M)
+      by 2-periodicity, so the screen reads H^-1 only.
+    - Marks: chi_M + 1 is the permutation character of X
+      (`lattices._marks_pass`, shift 1).
 
     Works through the dual: M = I_X iff M* = J_X, and J_X visibly
     contains the images of the |X| points: a G-stable set of rank+1
@@ -157,6 +162,8 @@ def recognize_aug_ideal(m: GLattice, budget=200000):
     """
     if m.rank == 0 or not all(len(inv.factors) <= 1
                               for inv in _cyclic_tate_groups(m)):
+        return None
+    if not _marks_pass(m, 1):
         return None
     md = dual(m)
     pts = _orbit_basis_search(md, budget, False, md.rank + 1)

@@ -8,16 +8,11 @@ from glattice.catalog import builtin_catalog, entry
 from glattice.intlinalg import IntMat, hnf, solve_left
 from glattice.groups import Subgroup, all_subgroups, closure, double_coset_table
 from glattice.homology import (
-    DegreesNotCoprime,
-    SectionInvalid,
-    SectionedSequence,
     coflasque_resolution,
     find_isomorphism_parts,
     flasque_resolution,
-    florence_combine,
     hom_basis_parts,
     parts_lattice,
-    pullback_split,
     quasi_permutation_check,
     sequence_from_surjection,
     stably_permutation_obstruction,
@@ -52,7 +47,6 @@ from glattice.lattices import (
     tensor,
     trivial_lattice,
 )
-from glattice.modular import is_invertible
 from glattice.rationality import (
     _a5_flasque_resolution,
     _block_lattice,
@@ -168,96 +162,6 @@ def test_flasque_resolution_reverify_property():
         cof = coflasque_resolution(m)
         assert verify_exact(cof)
         assert is_coflasque(cof.left)
-
-
-# ---------------------------------------------------------------------------
-# sectioned sequences
-# ---------------------------------------------------------------------------
-
-def j_sequence():
-    pj = IntMat([[1, 0], [0, 1], [-1, -1]])
-    cert = sequence_from_surjection(ZX, J3, pj)
-    s = IntMat([[2, -1, -1], [-1, 2, -1]])  # s(pi(x)) = 3x - sum
-    return SectionedSequence(cert, EquivariantMap(J3, ZX, s), 3)
-
-
-def y2_sequence():
-    a3 = [h for h in all_subgroups(S3).representatives() if h.order == 3][0]
-    zy = coset_lattice(S3, a3)
-    cert = sequence_from_surjection(zy, trivial_lattice(S3),
-                                    IntMat([[1], [1]]))
-    return SectionedSequence(cert, EquivariantMap(trivial_lattice(S3), zy,
-                                                  IntMat([[1, 1]])), 2)
-
-
-def test_florence_combine_degrees_not_coprime():
-    with pytest.raises(DegreesNotCoprime):
-        florence_combine(y2_sequence(), y2_sequence())
-
-
-def test_florence_combine_invalid_section():
-    bad = j_sequence()
-    bad.section = EquivariantMap(J3, ZX, bad.section.matrix.scale(2))
-    with pytest.raises(SectionInvalid):
-        florence_combine(bad, y2_sequence())
-
-
-def test_florence_combine_j_times_y2():
-    comb = florence_combine(j_sequence(), y2_sequence())
-    assert comb.degree == 6
-    assert verify_exact(comb.cert)
-    # combined kernel is Z (x) I_Y2 = I_Y2; compare characters
-    a = comb.cert.left
-    iy = y2_sequence().cert.left
-    assert a.character() == iy.character()
-    # section property holds
-    assert comb.section.matrix * comb.cert.surj.matrix == \
-        IntMat.identity(comb.cert.right.rank).scale(6)
-
-
-# ---------------------------------------------------------------------------
-# pullback splitting
-# ---------------------------------------------------------------------------
-
-def test_pullback_split_b3_identity():
-    # bottom: 0 -> J(x)I -> J(x)Z[X] -> J -> 0 (augmentation tensored by J)
-    jzx = tensor(J3, ZX)
-    bottom = sequence_from_surjection(
-        jzx, J3, IntMat.identity(2).kron(SUM3))
-    rightcol = j_sequence().cert
-    split = pullback_split(bottom, rightcol)
-    assert split is not None
-    # the split certifies B3 + Z[X3] = Z + (J3 (x) Z[X3])
-    assert split.sum1.character() == split.sum2.character()
-    assert split.iso.check() and split.iso.matrix.is_unimodular()
-    assert is_invertible(bottom.left)
-
-
-def test_pullback_split_on_split_sequences():
-    from glattice.lattices import direct_sum
-    z = trivial_lattice(S3)
-    bottom = sequence_from_surjection(direct_sum(I3, z), z,
-                                      IntMat([[0], [0], [1]]))
-    rightcol = sequence_from_surjection(trivial_lattice(S3, rank=2), z,
-                                        IntMat([[0], [1]]))
-    split = pullback_split(bottom, rightcol)
-    assert split is not None
-    assert split.sum1.character() == split.sum2.character()
-    assert split.iso.matrix.is_unimodular()
-
-
-def test_pullback_split_unsplittable_returns_none():
-    # rightcol 0 -> 0 -> Z -> Z -> 0 forces one induced row to be the
-    # augmentation sequence, which does not split: expect None
-    z = trivial_lattice(S3)
-    zero = GLattice(S3, [IntMat.zeros(0, 0)] * S3.order, check=False)
-    from glattice.homology import ExactSequenceCert
-    rightcol = ExactSequenceCert(
-        zero, z, z,
-        EquivariantMap(zero, z, IntMat.zeros(0, 1)),
-        EquivariantMap(z, z, IntMat.identity(1)))
-    bottom = sequence_from_surjection(ZX, z, SUM3)
-    assert pullback_split(bottom, rightcol) is None
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,12 @@ from glattice.lattices import (
     PermutationWitness,
     SignPermutationWitness,
     _cyclic_tate_groups,
+    _jordan_types_pass,
+    _marks_pass,
     _orbit_basis_search,
     aug_ideal,
     coset_gset,
+    coset_gset_sum,
     coset_lattice,
     direct_sum,
     dual,
@@ -628,11 +631,25 @@ def test_cyclic_tate_table_is_computed_once_per_lattice(monkeypatch):
 
 
 SCREENS = (
-    # (recognizer's pre-screen, up to sign, points beyond the rank)
-    (lambda t: t.is_trivial(), False, 0),
-    (lambda t: set(t.factors) <= {2}, True, 0),
-    (lambda t: len(t.factors) <= 1, False, 1),
+    # (a recognizer's pre-screen on M, up to sign, points beyond the rank)
+    (lambda m: all(t.is_trivial() for t in _cyclic_tate_groups(m)), False, 0),
+    (lambda m: _marks_pass(m, 0), False, 0),
+    (lambda m: all(set(t.factors) <= {2} for t in _cyclic_tate_groups(m)),
+     True, 0),
+    (_jordan_types_pass, True, 0),
+    (lambda m: all(len(t.factors) <= 1 for t in _cyclic_tate_groups(m)),
+     False, 1),
+    (lambda m: _marks_pass(m, 1), False, 1),
 )
+
+
+def _assert_screens_sound(m, budget):
+    for ok, up_to_sign, extra in SCREENS:
+        if ok(m):
+            continue
+        target = dual(m) if extra else m
+        assert _orbit_basis_search(target, budget, up_to_sign,
+                                   m.rank + extra) is None
 
 
 @pytest.mark.parametrize("name", [e.name for e in catalog.builtin_catalog()
@@ -644,12 +661,71 @@ def test_prescreens_never_reject_a_lattice_the_search_recognizes(name):
             continue
         x = coset_gset(g, h)
         for m in (coset_lattice(g, h), aug_ideal(x), j_lattice(x)):
-            for ok, up_to_sign, extra in SCREENS:
-                if all(ok(t) for t in _cyclic_tate_groups(m)):
-                    continue
-                target = dual(m) if extra else m
-                assert _orbit_basis_search(target, 2000, up_to_sign,
-                                           m.rank + extra) is None
+            _assert_screens_sound(m, 2000)
+
+
+def test_prescreens_never_reject_a_dim3_lattice_the_search_recognizes():
+    """Every Z-class of finite subgroups of GL_3(Z), its standard lattice
+    and the dual, against every screen at the classify budget."""
+    report = catalog.census(catalog.DIM3_ROOTS)
+    assert report.count == catalog.DIM3_CLASS_COUNT
+    skipped = [0, 0, 0]
+    for rec in report.classes:
+        m = std_lattice(rec.representative)
+        for lat in (m, dual(m)):
+            _assert_screens_sound(lat, 20000)
+            # SCREENS pairs each recognizer's Tate screen with its new one
+            for i in range(3):
+                tate_ok, new_ok = SCREENS[2 * i][0], SCREENS[2 * i + 1][0]
+                skipped[i] += tate_ok(lat) and not new_ok(lat)
+    # searches the Jordan and mark screens save for permutation,
+    # sign-permutation and I_X recognition, out of 146 lattices
+    assert skipped == [0, 10, 16]
+
+
+def _sign_lattices(g):
+    """The sign lattices of the subgroups H of index <= 4, induced up to
+    g (for H = G, the rank-one sign lattices of g)."""
+    for h in all_subgroups(g).representatives():
+        if g.order // h.order > 4:
+            continue
+        hg = h.as_group()
+        for n in all_subgroups(hg).representatives():
+            if 2 * n.order == hg.order:
+                yield induce(h, sign_lattice(hg, n))
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog.builtin_catalog()
+                                  if e.group().order <= 48])
+def test_sign_and_permutation_lattices_pass_the_jordan_and_mark_screens(
+        name):
+    g = catalog.entry(name).group()
+    signs = list(_sign_lattices(g))
+    for s in signs:
+        assert _jordan_types_pass(s)
+    if len(signs) >= 2:
+        assert _jordan_types_pass(direct_sum(signs[0], signs[-1]))
+    reps = [h for h in all_subgroups(g).representatives()
+            if g.order // h.order <= 12]
+    for h in reps:
+        x = coset_gset(g, h)
+        assert _jordan_types_pass(coset_lattice(g, h))
+        assert _marks_pass(perm_lattice(x), 0)
+        assert _marks_pass(aug_ideal(x), 1)
+    x = coset_gset_sum(g, [reps[0], reps[-1]])
+    assert _marks_pass(aug_ideal(x), 1) and _marks_pass(perm_lattice(x), 0)
+
+
+def test_jordan_and_mark_screens_reject_what_they_should():
+    # C3 rotating the A2 lattice: over F_3, act(c) - 1 is one Jordan
+    # block of size 2, so the lattice has no sign-permutation basis
+    j = std_lattice(closure([IntMat([[0, -1], [1, -1]])]))
+    assert not _jordan_types_pass(j)
+    assert recognize_sign_permutation(j) is None
+    # chi = (2, -1, -1): chi + 1 is the regular character of C3, so I_X
+    # passes the marks, but chi has a negative mark and 2 chi + 1 too
+    assert _marks_pass(j, 1) and not _marks_pass(j, 0)
+    assert not _marks_pass(direct_sum(j, j), 1)
 
 
 def test_absolutely_irreducible_lattices_fix_nothing_at_small_index():

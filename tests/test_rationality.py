@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from glattice import lattices, rationality
 from glattice.catalog import entry
 from glattice.homology import (
     quasi_permutation_check,
@@ -16,6 +17,7 @@ from glattice.groups import Subgroup, all_subgroups, closure
 from glattice.lattices import (
     GLattice,
     GSet,
+    _cyclic_tate_groups,
     aug_ideal,
     coset_gset,
     coset_gset_sum,
@@ -26,6 +28,7 @@ from glattice.lattices import (
     j_lattice,
     perm_lattice,
     quotient_group,
+    recognize_sign_permutation,
     std_lattice,
     trivial_lattice,
 )
@@ -171,6 +174,44 @@ def test_recognize_aug_ideal_refuses_a_not_retract_rational_lattice():
     # std(dade-3-3) is NotRetractRational, so it is no I_X
     assert recognize_aug_ideal(entry("dade-3-3").lattice(),
                                budget=20000) is None
+
+
+@pytest.mark.parametrize("name, search", [
+    ("z-4-25-7-5", "sign"), ("z-4-24-3-4", "sign"), ("z-4-13-6-4", "sign"),
+    ("z-3-4-5-2", "aug")])
+def test_jordan_and_mark_screens_stop_the_failing_orbit_searches(
+        monkeypatch, name, search):
+    """The Tate screen passes these lattices, and the orbit search finds
+    no basis of the shape; the Jordan-type or the mark screen now settles
+    it before the search runs, here and in every lattice classify meets."""
+    m = entry(name).lattice()
+    tate_ok = {"sign": lambda t: set(t.factors) <= {2},
+               "aug": lambda t: len(t.factors) <= 1}[search]
+    assert all(map(tate_ok, _cyclic_tate_groups(m)))
+    up_to_sign, extra = {"sign": (True, 0), "aug": (False, 1)}[search]
+    recognize = {"sign": recognize_sign_permutation,
+                 "aug": recognize_aug_ideal}[search]
+    real = lattices._orbit_basis_search
+
+    def use(search_fn):
+        monkeypatch.setattr(lattices, "_orbit_basis_search", search_fn)
+        monkeypatch.setattr(rationality, "_orbit_basis_search", search_fn)
+
+    def refuse(*args):
+        raise AssertionError("orbit search reached")
+
+    use(refuse)
+    assert recognize(m, budget=20000) is None
+    searches = []
+
+    def spy(lat, budget, sign, points):
+        found = real(lat, budget, sign, points)
+        searches.append((sign, points - lat.rank, found is not None))
+        return found
+
+    use(spy)
+    assert classify(m).level == HEREDITARILY_RATIONAL
+    assert (up_to_sign, extra, False) not in searches
 
 
 def test_classify_coprime_aug_tensor():
